@@ -1,7 +1,7 @@
 // Shared helpers for the paper-exhibit bench harnesses.
 //
 // Every bench accepts --scale=<f> (default 1.0) to grow or shrink the
-// workload; EXPERIMENTS.md records the default-scale runs. Efficiency
+// workload; README "Benchmarks" lists the runs CI makes. Efficiency
 // benches pin D3L profiling to one thread so system comparisons are
 // apples-to-apples.
 #pragma once
@@ -48,7 +48,8 @@ inline Status WriteTextFile(const std::string& path, const std::string& text) {
   return Status::OK();
 }
 
-/// Default-scale Synthetic repository (DESIGN.md §7: 900 tables at 1.0).
+/// Synthetic repository: 30 base tables x (1 + 29 derived) = 900 tables at
+/// scale 1.0.
 inline benchdata::GeneratedLake MakeSynthetic(double scale, uint64_t seed = 42) {
   benchdata::SyntheticOptions opts;
   opts.num_base_tables = eval::Scaled(30, scale);

@@ -1,6 +1,6 @@
 // Synthetic YAGO-style knowledge base for the TUS baseline.
 //
-// SUBSTITUTION NOTE (DESIGN.md §4): TUS [Nargesian et al., PVLDB'18] maps
+// SUBSTITUTION NOTE: TUS [Nargesian et al., PVLDB'18] maps
 // every value token to YAGO classes at both index and query time, which the
 // D3L paper identifies as TUS's dominant cost (Experiments 4-5). Shipping
 // YAGO offline is impossible; we preserve the access pattern with a

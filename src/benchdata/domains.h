@@ -1,10 +1,11 @@
 // Built-in value domains used by the benchmark data generators.
 //
-// DESIGN.md §4: the paper's repositories are crawled UK/Canadian open-data
-// CSVs; we replace them with seeded generators whose domains reproduce the
-// statistical shape the paper reports (Fig. 2) — names, addresses,
-// postcodes, dates, codes, plus numeric domains with distinct
-// distributions so the Kolmogorov-Smirnov evidence has signal.
+// SUBSTITUTION NOTE: the paper's repositories are crawled UK/Canadian
+// open-data CSVs, which cannot ship with this repository; we replace them
+// with seeded generators whose domains reproduce the statistical shape the
+// paper reports (Fig. 2) — names, addresses, postcodes, dates, codes, plus
+// numeric domains with distinct distributions so the Kolmogorov-Smirnov
+// evidence has signal.
 #pragma once
 
 #include <cstdint>

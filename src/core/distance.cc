@@ -56,25 +56,18 @@ double ComputeDistributionDistance(const D3LIndexes& indexes,
   return KsStatistic(target_profile.numeric_sample, cand.numeric_sample);
 }
 
-PrecomputedGuards BuildGuards(const D3LIndexes& indexes,
-                              const AttributeSignatures& target_sigs,
-                              const AttributeSignatures* target_subject) {
-  PrecomputedGuards g;
-  if (target_subject != nullptr) {
-    for (Evidence e : {Evidence::kName, Evidence::kValue, Evidence::kFormat,
-                       Evidence::kEmbedding}) {
-      for (uint32_t id : indexes.LookupThreshold(e, *target_subject)) {
-        g.target_subject_istar.insert(id);
-      }
-    }
+std::vector<uint32_t> SubjectIStar(const D3LIndexes& indexes,
+                                   const AttributeSignatures* target_subject) {
+  std::vector<uint32_t> istar;
+  if (target_subject == nullptr) return istar;
+  for (Evidence e : {Evidence::kName, Evidence::kValue, Evidence::kFormat,
+                     Evidence::kEmbedding}) {
+    const std::vector<uint32_t> hits = indexes.LookupThreshold(e, *target_subject);
+    istar.insert(istar.end(), hits.begin(), hits.end());
   }
-  for (uint32_t id : indexes.LookupThreshold(Evidence::kName, target_sigs)) {
-    g.name_hits.insert(id);
-  }
-  for (uint32_t id : indexes.LookupThreshold(Evidence::kFormat, target_sigs)) {
-    g.format_hits.insert(id);
-  }
-  return g;
+  std::sort(istar.begin(), istar.end());
+  istar.erase(std::unique(istar.begin(), istar.end()), istar.end());
+  return istar;
 }
 
 double ComputeDistributionDistanceFast(const D3LIndexes& indexes,
@@ -86,13 +79,15 @@ double ComputeDistributionDistanceFast(const D3LIndexes& indexes,
   if (!target_profile.is_numeric || !cand.is_numeric) return 1.0;
   if (target_profile.numeric_sample.empty() || cand.numeric_sample.empty()) return 1.0;
 
-  bool guard_passed =
-      (source_subject_id != UINT32_MAX &&
-       guards.target_subject_istar.count(source_subject_id) > 0) ||
-      guards.name_hits.count(candidate_id) > 0 ||
-      guards.format_hits.count(candidate_id) > 0;
+  const auto contains = [](const std::vector<uint32_t>& set, uint32_t id) {
+    return std::binary_search(set.begin(), set.end(), id);
+  };
+  bool guard_passed = (source_subject_id != UINT32_MAX &&
+                       contains(guards.target_subject_istar, source_subject_id)) ||
+                      contains(guards.name_hits, candidate_id) ||
+                      contains(guards.format_hits, candidate_id);
   if (!guard_passed) return 1.0;
-  return KsStatistic(target_profile.numeric_sample, cand.numeric_sample);
+  return KsStatisticSorted(target_profile.numeric_sample, cand.numeric_sample);
 }
 
 DistanceVector ComputeDistances(const D3LIndexes& indexes,

@@ -2,7 +2,6 @@
 // computation of Algorithm 2.
 #pragma once
 
-#include <unordered_set>
 #include <vector>
 
 #include "core/evidence.h"
@@ -41,24 +40,28 @@ DistanceVector ComputeDistances(const D3LIndexes& indexes,
 
 /// \brief Precomputed Algorithm-2 guard sets, shared across the candidates
 /// of one target attribute (avoids re-hashing the query per candidate).
+/// Each set is a sorted, deduplicated id vector.
 struct PrecomputedGuards {
-  /// I* threshold hits of the *target table's subject attribute*.
-  std::unordered_set<uint32_t> target_subject_istar;
-  /// IN / IF threshold hits of the target attribute itself.
-  std::unordered_set<uint32_t> name_hits;
-  std::unordered_set<uint32_t> format_hits;
+  /// I* threshold hits of the *target table's subject attribute*
+  /// (SubjectIStar; the same for every attribute of one target).
+  std::vector<uint32_t> target_subject_istar;
+  /// IN / IF threshold hits of the target attribute itself
+  /// (D3LIndexes::LookupThreshold).
+  std::vector<uint32_t> name_hits;
+  std::vector<uint32_t> format_hits;
 };
 
-/// \brief Builds the guard sets for one target attribute.
-/// \param target_subject signatures of the target table's subject attribute
-///        (nullptr if the target has none).
-PrecomputedGuards BuildGuards(const D3LIndexes& indexes,
-                              const AttributeSignatures& target_sigs,
-                              const AttributeSignatures* target_subject);
+/// \brief The I* set of a target table's subject attribute: ids in the
+/// threshold lookup of any of the four indexes, sorted and deduplicated.
+/// Empty when `target_subject` is null (the target has no subject). It
+/// depends only on the target table, so a query computes it once.
+std::vector<uint32_t> SubjectIStar(const D3LIndexes& indexes,
+                                   const AttributeSignatures* target_subject);
 
 /// \brief Algorithm 2 with precomputed guard sets. `source_subject_id` is
 /// the attribute id of the candidate table's subject attribute (UINT32_MAX
-/// if none).
+/// if none). Both numeric samples must be ascending and NaN-free, as
+/// BuildProfile and the snapshot and query validation guarantee.
 double ComputeDistributionDistanceFast(const D3LIndexes& indexes,
                                        const AttributeProfile& target_profile,
                                        uint32_t candidate_id,

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <chrono>
 
+#include "stats/ks.h"
+
 namespace d3l::core {
 
 namespace {
@@ -195,6 +197,22 @@ std::vector<uint32_t> D3LIndexes::LookupValueJoin(
   return value_join_banded_.Query(query.value_sig);
 }
 
+size_t D3LIndexes::max_depth(Evidence e) const {
+  switch (e) {
+    case Evidence::kName:
+      return name_forest_.options().hashes_per_tree;
+    case Evidence::kValue:
+      return value_forest_.options().hashes_per_tree;
+    case Evidence::kFormat:
+      return format_forest_.options().hashes_per_tree;
+    case Evidence::kEmbedding:
+      return emb_forest_.options().hashes_per_tree;
+    case Evidence::kDistribution:
+      return 0;
+  }
+  return 0;
+}
+
 double D3LIndexes::EstimateDistance(Evidence e, const AttributeSignatures& query,
                                     uint32_t id) const {
   const AttributeSignatures& s = sigs_[id];
@@ -291,6 +309,10 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, ForestWireFormat forest_forma
     AttributeProfile profile = AttributeProfile::Load(r);
     AttributeSignatures s = AttributeSignatures::Load(r);
     D3L_RETURN_NOT_OK(r.status());
+    // Scoring runs KS over the stored samples without re-sorting them.
+    if (!IsKsSample(profile.numeric_sample)) {
+      return Status::IOError("corrupt file: numeric sample is not ascending and NaN-free");
+    }
     if (s.name_sig.size() != o.minhash_size || s.format_sig.size() != o.minhash_size ||
         (s.has_value && s.value_sig.size() != o.minhash_size) ||
         (s.has_embedding &&
@@ -328,18 +350,21 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, ForestWireFormat forest_forma
   if (idx.name_forest_.size() != n || idx.format_forest_.size() != n) {
     return Status::IOError("corrupt file: forest sizes disagree with attribute count");
   }
-  // Forest entries feed straight into profiles_[id] at query time; reject
-  // ids outside the registry now rather than crashing during a Search.
-  for (const LshForest* forest :
+  // Forest entries feed straight into profiles_[id] at query time, and
+  // depth counts size a seen-bitmap from the registry size; reject ids
+  // outside the registry now rather than crashing during a Search.
+  for (LshForest* forest :
        {&idx.name_forest_, &idx.value_forest_, &idx.format_forest_, &idx.emb_forest_}) {
-    for (size_t t = 0; t < forest->num_trees(); ++t) {
-      const LshForest::ItemId* ids = forest->tree_ids(t);
-      for (size_t i = 0, sz = forest->tree_size(t); i < sz; ++i) {
-        if (ids[i] >= n) {
-          return Status::IOError("corrupt file: forest entry id out of range");
-        }
-      }
+    if (!forest->CheckIdBound(n)) {
+      return Status::IOError("corrupt file: forest entry id out of range");
     }
+  }
+  // Queries are signed and validated against the index options, so the
+  // forests must key on exactly the shapes those options imply.
+  if (idx.name_forest_.options() != o.forest || idx.value_forest_.options() != o.forest ||
+      idx.format_forest_.options() != o.forest ||
+      idx.emb_forest_.options() != EmbForestOptionsFrom(o)) {
+    return Status::IOError("corrupt file: forest key shapes disagree with index options");
   }
   return idx;
 }

@@ -93,18 +93,26 @@ class D3LIndexes {
                                         size_t budget = 0) const;
 
   /// All candidates of one evidence index matching the query at a prefix
-  /// depth of at least `min_depth` (LshForest::QueryAtDepth). Returns empty
-  /// when the query lacks the evidence or min_depth is 0.
+  /// depth of at least `min_depth` (LshForest::QueryAtDepth), ascending and
+  /// distinct. Returns empty when the query lacks the evidence or min_depth
+  /// is 0.
   std::vector<uint32_t> LookupAtDepth(Evidence e, const AttributeSignatures& query,
                                       size_t min_depth) const;
 
   /// Threshold membership: ids whose signature collides with the query in
   /// the banded index at tau (the paper's "a' in IN.lookup(a)" relation).
+  /// Ascending and distinct (BandedLsh::Query).
   std::vector<uint32_t> LookupThreshold(Evidence e,
                                         const AttributeSignatures& query) const;
 
   /// IV lookup at the (lower) join threshold — SA-join candidate retrieval.
+  /// Ascending and distinct.
   std::vector<uint32_t> LookupValueJoin(const AttributeSignatures& query) const;
+
+  /// Key width (hashes per tree) of evidence e's forest: the deepest prefix
+  /// a depth lookup can ask for. 0 for Evidence::kDistribution, which has
+  /// no forest.
+  size_t max_depth(Evidence e) const;
 
   /// Estimated distance of one evidence type between a query attribute and
   /// an indexed attribute; 1.0 when evidence is missing on either side.

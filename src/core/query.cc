@@ -10,6 +10,7 @@
 
 #include "common/hash.h"
 #include "io/binary_io.h"
+#include "stats/ks.h"
 
 namespace d3l::core {
 
@@ -531,9 +532,9 @@ CandidateLists D3LEngine::CollectCandidates(const QueryTarget& target,
     for (size_t e = 0; e < kNumEvidence; ++e) {
       std::vector<uint32_t> ids = indexes_.LookupAtDepth(
           static_cast<Evidence>(e), target.sigs[c], stops.depths[c][e]);
-      // Canonical per-index truncation: the m smallest ids. Keeps the work
-      // per index bounded by m even when one prefix bucket is enormous.
-      std::sort(ids.begin(), ids.end());
+      // Canonical per-index truncation: the m smallest ids (the lookup is
+      // ascending). Keeps the work per index bounded by m even when one
+      // prefix bucket is enormous.
       if (ids.size() > m) ids.resize(m);
       lists.ids[c][e] = std::move(ids);
     }
@@ -568,17 +569,35 @@ std::vector<PairDistances> D3LEngine::ScoreCandidates(
       target.subject_col >= 0 ? &target.sigs[static_cast<size_t>(target.subject_col)]
                               : nullptr;
 
+  size_t total = 0;
+  for (const std::vector<uint32_t>& candidates : per_column_candidates) {
+    total += candidates.size();
+  }
   std::vector<PairDistances> rows;
+  rows.reserve(total);
+  // Algorithm 2 can fire only for a numeric target column with a sample,
+  // and only with D enabled; every other row keeps D at 1. The guard sets
+  // are built for those columns alone, and the subject's I* set once.
+  PrecomputedGuards guards;
+  bool have_istar = false;
   for (size_t c = 0; c < target.sigs.size(); ++c) {
     const AttributeSignatures& qsigs = target.sigs[c];
     const AttributeProfile& qprof = target.profiles[c];
     const std::vector<uint32_t>& candidates = per_column_candidates[c];
     if (candidates.empty()) continue;
 
-    PrecomputedGuards guards = BuildGuards(indexes_, qsigs, target_subject_sigs);
+    const bool guarded = enabled(Evidence::kDistribution) && qprof.is_numeric &&
+                         !qprof.numeric_sample.empty();
+    if (guarded) {
+      if (!have_istar) {
+        guards.target_subject_istar = SubjectIStar(indexes_, target_subject_sigs);
+        have_istar = true;
+      }
+      guards.name_hits = indexes_.LookupThreshold(Evidence::kName, qsigs);
+      guards.format_hits = indexes_.LookupThreshold(Evidence::kFormat, qsigs);
+    }
 
     for (uint32_t id : candidates) {
-      const AttributeProfile& cand_prof = indexes_.profile(id);
       PairDistances row;
       row.target_column = static_cast<uint32_t>(c);
       row.attribute_id = id;
@@ -587,8 +606,8 @@ std::vector<PairDistances> D3LEngine::ScoreCandidates(
         size_t t = static_cast<size_t>(e);
         row.d[t] = enabled(e) ? indexes_.EstimateDistance(e, qsigs, id) : 1.0;
       }
-      if (enabled(Evidence::kDistribution)) {
-        uint32_t src_subject = subject_attribute_id(cand_prof.ref.table);
+      if (guarded) {
+        uint32_t src_subject = subject_attribute_id(indexes_.profile(id).ref.table);
         row.d[static_cast<size_t>(Evidence::kDistribution)] =
             ComputeDistributionDistanceFast(indexes_, qprof, id, guards, src_subject);
       }
@@ -669,13 +688,53 @@ Result<SearchResult> D3LEngine::Search(
   return SearchTarget(ProfileTarget(target), k, enabled_mask);
 }
 
+Status D3LEngine::ValidateTarget(const QueryTarget& target,
+                                 const CandidateStopDepths* stops) const {
+  const size_t n_cols = target.sigs.size();
+  if (n_cols == 0 || n_cols != target.profiles.size()) {
+    return Status::InvalidArgument("target is not a profiled table");
+  }
+  if (target.subject_col < -1 || target.subject_col >= static_cast<int>(n_cols)) {
+    return Status::InvalidArgument("target subject column out of range");
+  }
+  const IndexOptions& o = indexes_.options();
+  for (size_t c = 0; c < n_cols; ++c) {
+    const auto invalid = [c](const std::string& what) {
+      return Status::InvalidArgument("target column " + std::to_string(c) + ": " + what);
+    };
+    const AttributeSignatures& s = target.sigs[c];
+    if (s.name_sig.size() != o.minhash_size || s.format_sig.size() != o.minhash_size ||
+        (s.has_value && s.value_sig.size() != o.minhash_size)) {
+      return invalid("MinHash signature size is not " + std::to_string(o.minhash_size));
+    }
+    if (s.has_embedding &&
+        (s.emb_sig.bits != o.rp_bits || s.emb_sig.words.size() != (o.rp_bits + 63) / 64)) {
+      return invalid("embedding signature is not " + std::to_string(o.rp_bits) + " bits");
+    }
+    if (!IsKsSample(target.profiles[c].numeric_sample)) {
+      return invalid("numeric sample is not ascending and NaN-free");
+    }
+  }
+  if (stops == nullptr) return Status::OK();
+  if (stops->depths.size() != n_cols) {
+    return Status::InvalidArgument("stop depths do not match the target's columns");
+  }
+  for (const std::array<size_t, kNumEvidence>& depths : stops->depths) {
+    for (size_t e = 0; e < kNumEvidence; ++e) {
+      if (depths[e] > indexes_.max_depth(static_cast<Evidence>(e))) {
+        return Status::InvalidArgument("stop depth " + std::to_string(depths[e]) +
+                                       " exceeds the forest key width");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Result<SearchResult> D3LEngine::SearchTarget(
     QueryTarget target, size_t k,
     const std::array<bool, kNumEvidence>& enabled_mask) const {
   if (lake_ == nullptr) return Status::InvalidArgument("IndexLake not called");
-  if (target.sigs.empty() || target.sigs.size() != target.profiles.size()) {
-    return Status::InvalidArgument("target is not a profiled table");
-  }
+  D3L_RETURN_NOT_OK(ValidateTarget(target));
   const size_t per_index_m = std::max(options_.candidates_per_attribute, k);
 
   CandidateDepthCounts counts = CollectDepthCounts(target, enabled_mask, per_index_m);

@@ -224,6 +224,18 @@ class D3LEngine {
   Result<SearchResult> Search(const Table& target, size_t k,
                               const std::array<bool, kNumEvidence>& enabled_mask) const;
 
+  /// Checks a profiled target, and the stop depths it is retrieved at when
+  /// given, against this engine's index shapes: one signature set per
+  /// profile (at least one), a subject column in range, MinHash signatures
+  /// of IndexOptions::minhash_size values, embedding signatures of rp_bits
+  /// bits in (rp_bits + 63) / 64 words, ascending NaN-free numeric samples
+  /// (IsKsSample), and one stop depth per (column, evidence) within that
+  /// forest's key width (D3LIndexes::max_depth). Targets can arrive from
+  /// clients (src/rpc), so a violation is InvalidArgument, never a crash.
+  /// SearchTarget and every ShardedEngine query entry run it first.
+  Status ValidateTarget(const QueryTarget& target,
+                        const CandidateStopDepths* stops = nullptr) const;
+
   /// Search from an already-profiled target (ProfileTarget output): the
   /// whole retrieval/scoring/ranking pipeline minus the profiling phase.
   /// This is the entry the serving layer's SearchBackend interface maps

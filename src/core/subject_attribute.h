@@ -4,9 +4,9 @@
 // follows Venetis et al. and trains a supervised classifier whose signal
 // "favours leftmost non-numeric attributes with fewer nulls and many
 // distinct values". We implement the same model family (logistic
-// regression over those features); DESIGN.md §4 documents the substitution
-// of the paper's 350 hand-labelled data.gov.uk tables with generator-
-// labelled training data. As in the paper, each dataset has exactly one
+// regression over those features), but train it on generator-labelled
+// tables instead of the paper's 350 hand-labelled data.gov.uk tables, which
+// are not available. As in the paper, each dataset has exactly one
 // subject attribute and it is non-numeric.
 #pragma once
 

@@ -1,8 +1,8 @@
 // Word-embedding model (WEM) used for evidence type E.
 //
-// SUBSTITUTION NOTE (see DESIGN.md §4): the paper uses a pre-trained
-// fastText model. fastText composes a word vector as the sum of
-// hash-bucketed character n-gram vectors; we implement exactly that
+// SUBSTITUTION NOTE: the paper uses a pre-trained fastText model, which
+// cannot ship with this repository. fastText composes a word vector as the
+// sum of hash-bucketed character n-gram vectors; we implement exactly that
 // structure with deterministic, hash-seeded Gaussian bucket vectors. The
 // properties D3L relies on are preserved: every token has a dense p-vector,
 // orthographically/morphologically close tokens (typos, abbreviations,

@@ -1,5 +1,5 @@
 // Fixed-width console tables: every bench prints its paper exhibit with
-// this so outputs line up and are easy to diff against EXPERIMENTS.md.
+// this so outputs line up and runs are easy to diff against each other.
 #pragma once
 
 #include <string>

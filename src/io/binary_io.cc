@@ -646,7 +646,8 @@ const uint64_t* Reader::ReadU64Span(size_t n, std::vector<uint64_t>* owned) {
   }
   owned->resize(n);
   if constexpr (kHostLittleEndian) {
-    std::memcpy(owned->data(), view, bytes);
+    // An empty vector's data() may be null, which memcpy must never get.
+    if (bytes > 0) std::memcpy(owned->data(), view, bytes);
   } else {
     for (size_t i = 0; i < n; ++i) {
       uint64_t v = 0;
@@ -670,7 +671,8 @@ const uint32_t* Reader::ReadU32Span(size_t n, std::vector<uint32_t>* owned) {
   }
   owned->resize(n);
   if constexpr (kHostLittleEndian) {
-    std::memcpy(owned->data(), view, bytes);
+    // An empty vector's data() may be null, which memcpy must never get.
+    if (bytes > 0) std::memcpy(owned->data(), view, bytes);
   } else {
     for (size_t i = 0; i < n; ++i) {
       uint32_t v = 0;

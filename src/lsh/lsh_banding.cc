@@ -5,9 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "common/hash.h"
+#include "lsh/seen_set.h"
 
 namespace d3l {
 
@@ -77,19 +77,23 @@ void BandedLsh::Insert(ItemId id, const uint64_t* signature, size_t n) {
     buckets_[b][BandHash(b, signature)].push_back(id);
   }
   ++num_items_;
+  id_bound_ = std::max<size_t>(id_bound_, size_t{id} + 1);
 }
 
 std::vector<BandedLsh::ItemId> BandedLsh::Query(const Signature& signature) const {
   CheckSignatureSize(signature.size());
-  std::unordered_set<ItemId> seen;
+  // An item similar to the query collides in many bands; dedupe the visits
+  // before sorting the (much smaller) set of distinct ids.
+  SeenSet seen(id_bound_);
   std::vector<ItemId> out;
   for (size_t b = 0; b < bands_; ++b) {
     auto it = buckets_[b].find(BandHash(b, signature.data()));
     if (it == buckets_[b].end()) continue;
     for (ItemId id : it->second) {
-      if (seen.insert(id).second) out.push_back(id);
+      if (seen.Insert(id)) out.push_back(id);
     }
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

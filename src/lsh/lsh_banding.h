@@ -47,7 +47,7 @@ class BandedLsh {
   void Insert(ItemId id, const uint64_t* signature, size_t n);
 
   /// Items sharing at least one band with the query (candidates whose
-  /// Jaccard similarity is likely >= threshold). Deduplicated.
+  /// Jaccard similarity is likely >= threshold), ascending and distinct.
   std::vector<ItemId> Query(const Signature& signature) const;
 
   size_t size() const { return num_items_; }
@@ -64,6 +64,7 @@ class BandedLsh {
   // band index -> (band hash -> item ids)
   std::vector<std::unordered_map<uint64_t, std::vector<ItemId>>> buckets_;
   size_t num_items_ = 0;
+  size_t id_bound_ = 0;  ///< every inserted id is below it (sizes Query's seen-set)
 };
 
 }  // namespace d3l

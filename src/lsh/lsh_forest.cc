@@ -5,8 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
-#include <unordered_map>
 #include <unordered_set>
+
+#include "lsh/seen_set.h"
 
 namespace d3l {
 
@@ -78,16 +79,6 @@ void LshForest::CheckSignatureSize(const Signature& sig) const {
   }
 }
 
-std::vector<uint64_t> LshForest::TreeKey(size_t tree, const Signature& sig) const {
-  const size_t kpt = options_.hashes_per_tree;
-  assert(sig.size() >= options_.num_trees * kpt);
-  std::vector<uint64_t> key(kpt);
-  for (size_t i = 0; i < kpt; ++i) {
-    key[i] = sig[tree * kpt + i];
-  }
-  return key;
-}
-
 void LshForest::DetachTree(Tree& tree) {
   if (tree.borrowed_keys == nullptr && tree.borrowed_ids == nullptr) return;
   const size_t kpt = options_.hashes_per_tree;
@@ -116,6 +107,7 @@ void LshForest::Insert(ItemId id, const Signature& signature) {
   }
   storage_.reset();  // every tree was detached; nothing borrows the mapping
   ++num_items_;
+  if (id_bound_) id_bound_ = std::max<size_t>(*id_bound_, size_t{id} + 1);
 }
 
 void LshForest::Index() {
@@ -148,19 +140,17 @@ void LshForest::Index() {
   }
 }
 
-void LshForest::CollectAtDepth(const Tree& tree, const std::vector<uint64_t>& key,
-                               size_t depth, std::vector<ItemId>* out) const {
+void LshForest::CollectAtDepth(const Tree& tree, const uint64_t* key, size_t depth,
+                               std::vector<ItemId>* out) const {
   assert(tree.sorted);
   // Entries matching the first `depth` components form a contiguous sorted
   // range; locate it with prefix-comparing binary searches.
   const size_t kpt = options_.hashes_per_tree;
   const uint64_t* keys = tree.keys();
-  const size_t lo = PrefixLowerBound(keys, kpt, 0, tree.size, key.data(), depth);
-  const size_t hi = PrefixUpperBound(keys, kpt, lo, tree.size, key.data(), depth);
+  const size_t lo = PrefixLowerBound(keys, kpt, 0, tree.size, key, depth);
+  const size_t hi = PrefixUpperBound(keys, kpt, lo, tree.size, key, depth);
   const ItemId* ids = tree.ids();
-  for (size_t i = lo; i < hi; ++i) {
-    out->push_back(ids[i]);
-  }
+  out->insert(out->end(), ids + lo, ids + hi);
 }
 
 std::vector<LshForest::ItemId> LshForest::Query(const Signature& signature,
@@ -169,20 +159,18 @@ std::vector<LshForest::ItemId> LshForest::Query(const Signature& signature,
   std::vector<ItemId> result;
   if (m == 0) return result;
   CheckSignatureSize(signature);
-  std::vector<std::vector<uint64_t>> keys(trees_.size());
-  for (size_t t = 0; t < trees_.size(); ++t) keys[t] = TreeKey(t, signature);
+  const size_t kpt = options_.hashes_per_tree;
 
   // Descend from the deepest prefix; stop as soon as enough distinct
   // candidates have been accumulated (LSH Forest's synchronous descent).
-  for (size_t depth = options_.hashes_per_tree; depth >= 1; --depth) {
-    std::vector<ItemId> level;
+  std::vector<ItemId> level;
+  for (size_t depth = kpt; depth >= 1; --depth) {
+    level.clear();
     for (size_t t = 0; t < trees_.size(); ++t) {
-      CollectAtDepth(trees_[t], keys[t], depth, &level);
+      CollectAtDepth(trees_[t], signature.data() + t * kpt, depth, &level);
     }
     for (ItemId id : level) {
-      if (seen.insert(id).second) {
-        result.push_back(id);
-      }
+      if (seen.insert(id).second) result.push_back(id);
     }
     if (result.size() >= m) break;
   }
@@ -194,103 +182,80 @@ std::vector<LshForest::ItemId> LshForest::QueryAtDepth(const Signature& signatur
                                                        size_t min_depth) const {
   assert(min_depth >= 1 && min_depth <= options_.hashes_per_tree);
   CheckSignatureSize(signature);
-  std::unordered_set<ItemId> seen;
+  const size_t kpt = options_.hashes_per_tree;
   std::vector<ItemId> result;
   for (size_t t = 0; t < trees_.size(); ++t) {
-    std::vector<ItemId> level;
-    CollectAtDepth(trees_[t], TreeKey(t, signature), min_depth, &level);
-    for (ItemId id : level) {
-      if (seen.insert(id).second) result.push_back(id);
-    }
+    CollectAtDepth(trees_[t], signature.data() + t * kpt, min_depth, &result);
   }
+  std::sort(result.begin(), result.end());
+  result.erase(std::unique(result.begin(), result.end()), result.end());
   return result;
 }
 
 std::vector<size_t> LshForest::DepthCounts(const Signature& signature,
                                            size_t budget) const {
   CheckSignatureSize(signature);
-  const size_t kpt = options_.hashes_per_tree;
-  if (budget == 0) {
-    // Exact histogram: deepest matching prefix per item across all trees.
-    // One pass over the depth-1 range of every tree (a superset of every
-    // deeper range) beats re-collecting the deeper ranges once per depth.
-    std::unordered_map<ItemId, size_t> deepest;
-    for (size_t t = 0; t < trees_.size(); ++t) {
-      const Tree& tree = trees_[t];
-      assert(tree.sorted);
-      const std::vector<uint64_t> key = TreeKey(t, signature);
-      const uint64_t* keys = tree.keys();
-      const ItemId* ids = tree.ids();
-      const size_t lo = PrefixLowerBound(keys, kpt, 0, tree.size, key.data(), 1);
-      const size_t hi = PrefixUpperBound(keys, kpt, lo, tree.size, key.data(), 1);
-      for (size_t i = lo; i < hi; ++i) {
-        const uint64_t* entry = keys + i * kpt;
-        size_t lcp = 1;
-        while (lcp < kpt && entry[lcp] == key[lcp]) ++lcp;
-        size_t& best = deepest[ids[i]];
-        best = std::max(best, lcp);
-      }
-    }
-    std::vector<size_t> counts(kpt, 0);
-    for (const auto& [id, depth] : deepest) counts[depth - 1]++;
-    // Suffix-sum the histogram: counts[d-1] becomes |{items: lcp >= d}|.
-    for (size_t d = kpt - 1; d-- > 0;) counts[d] += counts[d + 1];
-    return counts;
+  if (!id_bound_) {
+    std::fprintf(stderr, "LshForest: DepthCounts on a loaded forest whose ids were "
+                         "never checked (call CheckIdBound)\n");
+    std::abort();
   }
+  const size_t kpt = options_.hashes_per_tree;
 
-  // Budgeted descent over nested prefix ranges: per tree, the entries
-  // matching the first d key values form a contiguous range that contains
-  // the depth-(d+1) range, so expanding depth by depth visits each entry at
-  // most once — at exactly its prefix depth — and never touches entries
-  // deeper than where the cumulative distinct count saturates the budget.
+  // Descent over nested prefix ranges: per tree, the entries matching the
+  // first d key values form a contiguous range that contains the
+  // depth-(d+1) range, so expanding depth by depth visits each entry once —
+  // at exactly its prefix depth in that tree — and never touches entries
+  // shallower than where the cumulative distinct count saturates the
+  // budget. Every tree expands to depth d before any tree reaches d-1, so
+  // an item's first visit is at its deepest prefix over all trees: a
+  // histogram of first visits is the exact per-depth histogram.
   struct TreeRange {
     const Tree* tree;
-    std::vector<uint64_t> key;
+    const uint64_t* key;    ///< the tree's key within the query signature
     size_t lo = 0, hi = 0;  ///< current range (depth d+1 when expanding to d)
   };
   std::vector<TreeRange> ranges;
   ranges.reserve(trees_.size());
   for (size_t t = 0; t < trees_.size(); ++t) {
     assert(trees_[t].sorted);
-    TreeRange r{&trees_[t], TreeKey(t, signature), 0, 0};
+    TreeRange r{&trees_[t], signature.data() + t * kpt, 0, 0};
     // Seed with the (possibly empty) deepest range's insertion point so the
     // first expansion below starts from a valid nested position.
-    r.lo = r.hi = PrefixLowerBound(r.tree->keys(), kpt, 0, r.tree->size,
-                                   r.key.data(), kpt);
-    ranges.push_back(std::move(r));
+    r.lo = r.hi = PrefixLowerBound(r.tree->keys(), kpt, 0, r.tree->size, r.key, kpt);
+    ranges.push_back(r);
   }
 
-  std::unordered_map<ItemId, size_t> deepest;  // exact lcp of every scanned item
+  SeenSet seen(*id_bound_);
+  std::vector<size_t> counts(kpt, 0);  // counts[d-1]: items first reached at d
+  size_t distinct = 0;
   size_t stopped_above = 0;  // depths < this were never scanned (clamped)
   for (size_t d = kpt; d >= 1; --d) {
+    size_t& first_visits = counts[d - 1];
     for (TreeRange& r : ranges) {
       const uint64_t* keys = r.tree->keys();
       const ItemId* ids = r.tree->ids();
-      const size_t lo =
-          PrefixLowerBound(keys, kpt, 0, r.lo, r.key.data(), d);
-      const size_t hi =
-          PrefixUpperBound(keys, kpt, r.hi, r.tree->size, r.key.data(), d);
+      const size_t lo = PrefixLowerBound(keys, kpt, 0, r.lo, r.key, d);
+      const size_t hi = PrefixUpperBound(keys, kpt, r.hi, r.tree->size, r.key, d);
       // Entries in [lo, r.lo) and [r.hi, hi) match d values but not d+1:
       // their lcp with the query is exactly d.
       for (size_t i = lo; i < r.lo; ++i) {
-        size_t& best = deepest[ids[i]];
-        best = std::max(best, d);
+        if (seen.Insert(ids[i])) ++first_visits;
       }
       for (size_t i = r.hi; i < hi; ++i) {
-        size_t& best = deepest[ids[i]];
-        best = std::max(best, d);
+        if (seen.Insert(ids[i])) ++first_visits;
       }
       r.lo = lo;
       r.hi = hi;
     }
-    if (deepest.size() >= budget) {
+    distinct += first_visits;
+    if (budget != 0 && distinct >= budget) {
       stopped_above = d - 1;  // depths 1..d-1 not scanned
       break;
     }
   }
 
-  std::vector<size_t> counts(kpt, 0);
-  for (const auto& [id, depth] : deepest) counts[depth - 1]++;
+  // Suffix-sum the histogram: counts[d-1] becomes |{items: lcp >= d}|.
   for (size_t d = kpt - 1; d-- > 0;) counts[d] += counts[d + 1];
   // Clamp the unscanned shallow depths to the saturation count. True counts
   // there are >= this value, which is itself >= budget, so neither the
@@ -340,6 +305,7 @@ LshForest LshForest::Load(io::Reader& r, ForestWireFormat format) {
     return LshForest();
   }
   LshForest forest(options);
+  forest.id_bound_.reset();
   forest.num_items_ = r.ReadU64();
   size_t n_trees = r.ReadLength(sizeof(uint64_t));
   if (!r.status().ok() || n_trees != options.num_trees) {
@@ -385,6 +351,17 @@ LshForest LshForest::Load(io::Reader& r, ForestWireFormat format) {
     }
   }
   return forest;
+}
+
+bool LshForest::CheckIdBound(size_t id_bound) {
+  for (const Tree& tree : trees_) {
+    const ItemId* ids = tree.ids();
+    for (size_t i = 0; i < tree.size; ++i) {
+      if (ids[i] >= id_bound) return false;
+    }
+  }
+  id_bound_ = id_bound;
+  return true;
 }
 
 size_t LshForest::MemoryUsage() const {

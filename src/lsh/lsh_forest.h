@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -75,7 +76,8 @@ class LshForest {
   std::vector<ItemId> Query(const Signature& signature, size_t m) const;
 
   /// All items sharing a prefix of at least `min_depth` hash values with
-  /// the query in at least one tree (threshold-flavoured lookup).
+  /// the query in at least one tree (threshold-flavoured lookup), ascending
+  /// and distinct.
   std::vector<ItemId> QueryAtDepth(const Signature& signature, size_t min_depth) const;
 
   /// Distinct-match counts per prefix depth: counts[d-1] is the number of
@@ -85,9 +87,10 @@ class LshForest {
   /// one forest — counts from forests over disjoint item sets (the shards
   /// of src/serving) add element-wise into the counts of the union forest.
   ///
-  /// A non-zero `budget` (the m of the StopDepth rule) enables early
-  /// termination: the forest descends its nested prefix ranges from the
-  /// deepest depth and stops scanning once the cumulative distinct-match
+  /// The forest descends its nested prefix ranges from the deepest depth,
+  /// so every item is first reached at its deepest prefix over all trees. A
+  /// non-zero `budget` (the m of the StopDepth rule) enables early
+  /// termination: the descent stops once the cumulative distinct-match
   /// count reaches the budget. Counts at the saturating depth and deeper
   /// are exact; shallower entries are clamped to the count at saturation
   /// (>= budget). Because the stop rule picks the DEEPEST depth with at
@@ -95,6 +98,7 @@ class LshForest {
   /// after shard summing: any shard that clamped below depth d certifies
   /// the summed count at d already reaches m, so no shallower depth is
   /// ever consulted. With budget == 0 the full exact histogram is scanned.
+  /// A loaded forest must pass CheckIdBound first.
   std::vector<size_t> DepthCounts(const Signature& signature, size_t budget = 0) const;
 
   /// The synchronous-descent stop rule of Query() applied to a (possibly
@@ -135,11 +139,20 @@ class LshForest {
 
   /// Deserializes a forest written in `format`. On any read error the
   /// reader's status() is non-OK and the returned forest must be discarded.
+  /// Item ids are not checked: call CheckIdBound before DepthCounts.
   /// When the reader is mapped and the host allows it, a kFlat forest
   /// borrows its arrays straight from the mapping and holds the mapping
   /// alive; otherwise it owns heap copies. kPerEntry reads the legacy
   /// per-entry layout (always copied).
   static LshForest Load(io::Reader& r, ForestWireFormat format = ForestWireFormat::kFlat);
+
+  /// Checks that every stored id is below `id_bound` and, if so, makes it
+  /// the bound DepthCounts sizes its per-call seen-bitmap from; returns
+  /// false otherwise. A loaded forest needs this before DepthCounts (which
+  /// aborts without it): the bound comes from the caller, such as the size
+  /// of the registry the ids index, never from an id read from a file.
+  /// Forests built by Insert track their bound themselves.
+  bool CheckIdBound(size_t id_bound);
 
   /// Exact heap footprint in bytes (space-overhead bench): the owned key
   /// and id array capacities plus the tree table. Arrays borrowed from a
@@ -164,18 +177,22 @@ class LshForest {
     }
   };
 
-  std::vector<uint64_t> TreeKey(size_t tree, const Signature& sig) const;
-  // Aborts (in all build types) if the signature is too short for TreeKey.
+  // Aborts (in all build types) if the signature is too short to key every
+  // tree: tree t's key is sig[t * hashes_per_tree, (t + 1) * hashes_per_tree).
   void CheckSignatureSize(const Signature& sig) const;
   // Copies borrowed arrays into owned storage so the tree can be mutated.
   void DetachTree(Tree& tree);
-  // Collects ids of entries matching the first `depth` key values.
-  void CollectAtDepth(const Tree& tree, const std::vector<uint64_t>& key, size_t depth,
+  // Collects ids of entries matching the first `depth` values of `key`.
+  void CollectAtDepth(const Tree& tree, const uint64_t* key, size_t depth,
                       std::vector<ItemId>* out) const;
 
   LshForestOptions options_;
   std::vector<Tree> trees_;
   size_t num_items_ = 0;
+  /// Every stored id is below this bound, which sizes DepthCounts'
+  /// seen-bitmap. Insert maintains it; a loaded forest has none (its ids
+  /// are unchecked) until CheckIdBound.
+  std::optional<size_t> id_bound_ = 0;
   /// Keeps the snapshot mapping alive while any tree borrows from it.
   std::shared_ptr<io::MappedFile> storage_;
 };

@@ -276,9 +276,7 @@ std::vector<ShardedEngine::ServedTable> ShardedEngine::ServedTables() const {
 Result<core::CandidateDepthCounts> ShardedEngine::CollectDepthCounts(
     const core::QueryTarget& target,
     const std::array<bool, core::kNumEvidence>& enabled_mask, size_t m) const {
-  if (target.sigs.empty() || target.sigs.size() != target.profiles.size()) {
-    return Status::InvalidArgument("target is not a profiled table");
-  }
+  D3L_RETURN_NOT_OK(shards_[served_.front()]->ValidateTarget(target));
   std::vector<core::CandidateDepthCounts> counts(served_.size());
   pool_.ParallelFor(served_.size(), [&](size_t j) {
     counts[j] = shards_[served_[j]]->CollectDepthCounts(target, enabled_mask, m);
@@ -291,12 +289,7 @@ Result<core::CandidateDepthCounts> ShardedEngine::CollectDepthCounts(
 Result<ShardedEngine::ShardScore> ShardedEngine::ScoreAtStops(
     const core::QueryTarget& target, const core::CandidateStopDepths& stops,
     size_t m, const std::array<bool, core::kNumEvidence>& enabled_mask) const {
-  if (target.sigs.empty() || target.sigs.size() != target.profiles.size()) {
-    return Status::InvalidArgument("target is not a profiled table");
-  }
-  if (stops.depths.size() != target.sigs.size()) {
-    return Status::InvalidArgument("stop depths do not match the target's columns");
-  }
+  D3L_RETURN_NOT_OK(shards_[served_.front()]->ValidateTarget(target, &stops));
   const size_t n_cols = target.sigs.size();
 
   // Retrieve per served shard at the externally resolved depths, remapped
@@ -374,9 +367,7 @@ Result<core::SearchResult> ShardedEngine::Search(
         "this engine serves a shard subset; whole-lake Search needs every "
         "shard (subset servers answer the phase API instead)");
   }
-  if (target.sigs.empty() || target.sigs.size() != target.profiles.size()) {
-    return Status::InvalidArgument("target is not a profiled table");
-  }
+  D3L_RETURN_NOT_OK(shards_[served_.front()]->ValidateTarget(target));
   std::vector<ProfiledSlot> slots(1);
   slots[0].qt = std::move(target);
   std::vector<Result<core::SearchResult>> results =

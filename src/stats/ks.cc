@@ -6,9 +6,18 @@
 namespace d3l {
 
 double KsStatistic(std::vector<double> a, std::vector<double> b) {
-  if (a.empty() || b.empty()) return 1.0;
+  // A NaN would stall the merge (it compares false both ways), so it does
+  // not count as a sample value.
+  const auto is_nan = [](double v) { return std::isnan(v); };
+  std::erase_if(a, is_nan);
+  std::erase_if(b, is_nan);
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
+  return KsStatisticSorted(a, b);
+}
+
+double KsStatisticSorted(std::span<const double> a, std::span<const double> b) {
+  if (a.empty() || b.empty()) return 1.0;
   size_t i = 0;
   size_t j = 0;
   double d = 0;
@@ -22,6 +31,13 @@ double KsStatistic(std::vector<double> a, std::vector<double> b) {
     d = std::max(d, diff);
   }
   return d;
+}
+
+bool IsKsSample(std::span<const double> sample) {
+  for (size_t i = 0; i < sample.size(); ++i) {
+    if (std::isnan(sample[i]) || (i > 0 && sample[i] < sample[i - 1])) return false;
+  }
+  return true;
 }
 
 double KsPValue(double d, size_t n, size_t m) {

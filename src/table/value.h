@@ -19,8 +19,9 @@ enum class ColumnType {
 
 const char* ColumnTypeToString(ColumnType t);
 
-/// \brief True if the cell should be treated as NULL (empty or a common
-/// missing-value marker such as "-", "n/a", "null").
+/// \brief True if the cell should be treated as NULL (empty, a common
+/// missing-value marker such as "-", "n/a", "null", or any spelling of NaN
+/// that ParseDouble accepts, such as "-nan" or "nan(1)").
 bool IsNullCell(std::string_view cell);
 
 /// \brief Parses a cell as a number; respects null markers.

@@ -161,7 +161,9 @@ TEST_F(DistanceTest, FastPathAgreesWithGuardedPath) {
   AttributeSignatures qs = indexes_.Sign(qa);
   DistributionGuardContext guard;
   double slow = ComputeDistributionDistance(indexes_, qa, qs, id, guard);
-  PrecomputedGuards guards = BuildGuards(indexes_, qs, nullptr);
+  const PrecomputedGuards guards{SubjectIStar(indexes_, nullptr),
+                                 indexes_.LookupThreshold(Evidence::kName, qs),
+                                 indexes_.LookupThreshold(Evidence::kFormat, qs)};
   double fast = ComputeDistributionDistanceFast(indexes_, qa, id, guards, UINT32_MAX);
   EXPECT_DOUBLE_EQ(slow, fast);
 }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 
+#include "io/binary_io.h"
 #include "tests/test_util.h"
 
 namespace d3l::core {
@@ -138,6 +141,39 @@ TEST_F(IndexesTest, DistributionDistanceNotServedFromIndexes) {
   AttributeSignatures q = SignColumn(testutil::FigureTarget(), 0);
   EXPECT_DOUBLE_EQ(indexes_.EstimateDistance(Evidence::kDistribution, q, id), 1.0);
   EXPECT_TRUE(indexes_.Lookup(Evidence::kDistribution, q, 10).empty());
+}
+
+TEST_F(IndexesTest, LoadRejectsNumericSamplesKsCannotMerge) {
+  // Scoring merges stored samples without re-sorting them, so a snapshot
+  // whose sample is unsorted or holds a NaN is corrupt.
+  const Table s1 = testutil::FigureS1();
+  const std::vector<std::vector<double>> samples = {
+      {1, 2, 2, 3}, {3, 1, 2}, {1, std::nan(""), 2}};
+  for (const std::vector<double>& sample : samples) {
+    D3LIndexes built{IndexOptions{}};
+    AttributeProfile p = BuildProfile(s1, 4, wem_, &cache_);  // Patients
+    p.numeric_sample = sample;
+    built.Insert(std::move(p));
+    built.Finalize();
+
+    std::string bytes;
+    io::Writer w;
+    w.OpenBuffer(&bytes);
+    w.BeginSection(io::SectionId("INDX"));
+    built.Save(w);
+    ASSERT_TRUE(w.EndSection().ok());
+    io::Reader r;
+    ASSERT_TRUE(r.OpenBuffer(std::move(bytes)).ok());
+    ASSERT_TRUE(r.OpenSection(io::SectionId("INDX")).ok());
+    auto loaded = D3LIndexes::Load(r);
+    if (&sample == &samples.front()) {
+      EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+    } else {
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_NE(loaded.status().ToString().find("numeric sample"), std::string::npos)
+          << loaded.status().ToString();
+    }
+  }
 }
 
 TEST_F(IndexesTest, MemoryUsageGrowsWithInsertions) {

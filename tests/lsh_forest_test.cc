@@ -372,5 +372,120 @@ TEST(ForestDepthCountsTest, BudgetedScanMatchesFullScan) {
   }
 }
 
+/// A forest over a sparse subset of ids, like the value forest (only
+/// attributes with a tset), plus the signatures it holds by id.
+struct SparseForest {
+  LshForestOptions options;
+  LshForest forest;
+  std::vector<std::pair<uint32_t, Signature>> items;
+};
+
+SparseForest MakeSparseForest() {
+  MinHasher hasher(64, 29);
+  SparseForest f;
+  f.options.num_trees = 4;
+  f.options.hashes_per_tree = 6;
+  f.forest = LshForest(f.options);
+  for (uint32_t i = 0; i < 90; ++i) {
+    const uint32_t id = 5 + i * 7 + (i % 3);  // gaps of 6-9 ids
+    Signature sig = hasher.Sign(
+        SetWithSharedPrefix(static_cast<int>(i % 45), 50, static_cast<int>(i / 4)));
+    f.forest.Insert(id, sig);
+    f.items.emplace_back(id, std::move(sig));
+  }
+  f.forest.Index();
+  return f;
+}
+
+/// Brute-force reference: each item's deepest prefix match with the query
+/// over all trees, computed straight from the signatures.
+std::vector<size_t> ReferenceDeepest(const SparseForest& f, const Signature& query) {
+  const size_t kpt = f.options.hashes_per_tree;
+  std::vector<size_t> deepest;
+  for (const auto& [id, sig] : f.items) {
+    size_t best = 0;
+    for (size_t t = 0; t < f.options.num_trees; ++t) {
+      size_t lcp = 0;
+      while (lcp < kpt && sig[t * kpt + lcp] == query[t * kpt + lcp]) ++lcp;
+      best = std::max(best, lcp);
+    }
+    deepest.push_back(best);
+  }
+  return deepest;
+}
+
+TEST(ForestDepthCountsTest, SparseIdsMatchBruteForceBudgetedOrNot) {
+  const SparseForest f = MakeSparseForest();
+  MinHasher hasher(64, 29);
+  size_t deep_matches = 0;  // keeps the case from passing on empty counts
+  for (int q = 0; q < 8; ++q) {
+    const Signature query = hasher.Sign(SetWithSharedPrefix(25 + 2 * q, 50, q));
+    const std::vector<size_t> deepest = ReferenceDeepest(f, query);
+    std::vector<size_t> expected(f.options.hashes_per_tree, 0);
+    for (size_t best : deepest) {
+      for (size_t d = 1; d <= best; ++d) ++expected[d - 1];
+    }
+    deep_matches += expected[2];
+
+    const std::vector<size_t> full = f.forest.DepthCounts(query);
+    EXPECT_EQ(full, expected) << "q=" << q;
+    EXPECT_EQ(f.forest.DepthCounts(query, f.forest.size() + 1), full) << "q=" << q;
+    for (size_t m : {size_t{1}, size_t{3}, size_t{10}, size_t{40}}) {
+      const std::vector<size_t> budgeted = f.forest.DepthCounts(query, m);
+      const size_t stop = LshForest::StopDepth(full, m);
+      EXPECT_EQ(LshForest::StopDepth(budgeted, m), stop) << "q=" << q << " m=" << m;
+      for (size_t d = stop; d <= full.size(); ++d) {
+        EXPECT_EQ(budgeted[d - 1], full[d - 1]) << "q=" << q << " m=" << m << " d=" << d;
+      }
+    }
+  }
+  EXPECT_GT(deep_matches, 0u);
+}
+
+TEST(ForestQueryAtDepthTest, ReturnsAscendingDistinctIdsOfEveryMatch) {
+  const SparseForest f = MakeSparseForest();
+  MinHasher hasher(64, 29);
+  for (int q = 0; q < 8; ++q) {
+    const Signature query = hasher.Sign(SetWithSharedPrefix(25 + 2 * q, 50, q));
+    const std::vector<size_t> deepest = ReferenceDeepest(f, query);
+    for (size_t d = 1; d <= f.options.hashes_per_tree; ++d) {
+      std::vector<LshForest::ItemId> expected;
+      for (size_t i = 0; i < f.items.size(); ++i) {
+        if (deepest[i] >= d) expected.push_back(f.items[i].first);
+      }
+      std::sort(expected.begin(), expected.end());
+      // Ascending and distinct, even though an item matches in several
+      // trees and the trees are gathered one after another.
+      EXPECT_EQ(f.forest.QueryAtDepth(query, d), expected) << "q=" << q << " d=" << d;
+    }
+  }
+}
+
+TEST(ForestLoadTest, DepthCountsNeedIdsCheckedAgainstACallerBound) {
+  const SparseForest f = MakeSparseForest();
+  const uint32_t max_id = f.items.back().first;
+  const std::string path = ::testing::TempDir() + "/forest_sparse.bin";
+  io::Writer w;
+  ASSERT_TRUE(w.Open(path, "LSHFRST\n", 1).ok());
+  w.BeginSection(0x54534554u);
+  f.forest.Save(w);
+  ASSERT_TRUE(w.Finish().ok());
+
+  io::Reader r;
+  ASSERT_TRUE(r.Open(path, "LSHFRST\n", 1).ok());
+  ASSERT_TRUE(r.OpenSection(0x54534554u).ok());
+  LshForest loaded = LshForest::Load(r);
+  ASSERT_TRUE(r.status().ok());
+  MinHasher hasher(64, 29);
+  const Signature query = hasher.Sign(SetWithSharedPrefix(31, 50, 3));
+  // The seen-bitmap is sized from a checked bound, never from file ids.
+  EXPECT_DEATH((void)loaded.DepthCounts(query), "never checked");
+  EXPECT_FALSE(loaded.CheckIdBound(max_id));
+  EXPECT_DEATH((void)loaded.DepthCounts(query), "never checked");
+  ASSERT_TRUE(loaded.CheckIdBound(max_id + 1));
+  EXPECT_EQ(loaded.DepthCounts(query), f.forest.DepthCounts(query));
+  EXPECT_EQ(loaded.DepthCounts(query, 10), f.forest.DepthCounts(query, 10));
+}
+
 }  // namespace
 }  // namespace d3l

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+
 #include "tests/test_util.h"
 
 namespace d3l::core {
@@ -151,6 +154,86 @@ TEST_F(QueryTest, SingleThreadedIndexMatchesParallel) {
     EXPECT_EQ(a->ranked[i].table_index, b->ranked[i].table_index);
     EXPECT_DOUBLE_EQ(a->ranked[i].distance, b->ranked[i].distance);
   }
+}
+
+TEST_F(QueryTest, NanCellsInTargetAreNullsAndSearchReturns) {
+  // std::from_chars reads "-nan" and "-NaN". A NaN in the numeric sample
+  // would stall the KS merge against S1's Patients, so these cells must be
+  // nulls.
+  const Table target = testutil::MakeTable(
+      "target_patients", {"Practice Name", "Patients"},
+      {{"Blackfriars", "3572"},
+       {"Bolton Medical", "-nan"},
+       {"Radclife Care", "2210"},
+       {"Mirabel Surgery", "-NaN"}});
+  auto res = engine_->Search(target, 3);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  ASSERT_EQ(res->target_profiles.size(), 2u);
+  EXPECT_TRUE(res->target_profiles[1].is_numeric);
+  EXPECT_EQ(res->target_profiles[1].numeric_sample, (std::vector<double>{2210, 3572}));
+  // The Patients column did reach KS: some pair has a distribution
+  // distance below the no-evidence 1.
+  bool ks_ran = false;
+  for (const TableMatch& m : res->ranked) {
+    for (const PairDistances& p : m.pairs) {
+      ks_ran |= p.target_column == 1 &&
+                p.d[static_cast<size_t>(Evidence::kDistribution)] < 1.0;
+    }
+  }
+  EXPECT_TRUE(ks_ran);
+}
+
+/// One malformed variant of a profiled target per field ValidateTarget
+/// checks; each must be refused with InvalidArgument before any lookup.
+TEST_F(QueryTest, MalformedTargetsAreInvalidArgument) {
+  const QueryTarget good = engine_->ProfileTarget(testutil::FigureTarget());
+  ASSERT_TRUE(engine_->ValidateTarget(good).ok());
+  size_t embedded_col = SIZE_MAX;
+  for (size_t c = 0; c < good.sigs.size(); ++c) {
+    if (good.sigs[c].has_embedding) embedded_col = c;
+  }
+  ASSERT_NE(embedded_col, SIZE_MAX);
+
+  std::vector<std::pair<std::string, std::function<void(QueryTarget&)>>> cases = {
+      {"short name signature", [](QueryTarget& t) { t.sigs[0].name_sig.resize(10); }},
+      {"long name signature", [](QueryTarget& t) { t.sigs[0].name_sig.resize(300, 7); }},
+      {"short format signature", [](QueryTarget& t) { t.sigs[1].format_sig.pop_back(); }},
+      {"embedding bits past its words",
+       [&](QueryTarget& t) { t.sigs[embedded_col].emb_sig.bits = 4096; }},
+      {"embedding words short",
+       [&](QueryTarget& t) { t.sigs[embedded_col].emb_sig.words.pop_back(); }},
+      // Every column's sample is checked, whatever its type.
+      {"unsorted sample", [](QueryTarget& t) { t.profiles[0].numeric_sample = {3, 1, 2}; }},
+      {"NaN sample",
+       [](QueryTarget& t) { t.profiles[0].numeric_sample = {1, std::nan(""), 2}; }},
+      {"subject column out of range", [](QueryTarget& t) { t.subject_col = 99; }},
+      {"missing signatures", [](QueryTarget& t) { t.sigs.pop_back(); }},
+  };
+  for (auto& [name, mutate] : cases) {
+    QueryTarget bad = good;
+    mutate(bad);
+    auto res = engine_->SearchTarget(std::move(bad), 3, engine_->options().enabled);
+    ASSERT_FALSE(res.ok()) << name;
+    EXPECT_TRUE(res.status().IsInvalidArgument()) << name << ": " << res.status().ToString();
+  }
+
+  // Stop depths: one per (column, evidence), within each forest's key.
+  CandidateStopDepths stops;
+  stops.depths.resize(good.sigs.size());
+  EXPECT_TRUE(engine_->ValidateTarget(good, &stops).ok());
+  stops.depths[0][static_cast<size_t>(Evidence::kName)] =
+      engine_->indexes().max_depth(Evidence::kName);
+  EXPECT_TRUE(engine_->ValidateTarget(good, &stops).ok());
+  stops.depths[0][static_cast<size_t>(Evidence::kName)] += 1;
+  EXPECT_TRUE(engine_->ValidateTarget(good, &stops).IsInvalidArgument());
+  stops.depths[0][static_cast<size_t>(Evidence::kName)] = 0;
+  stops.depths[0][static_cast<size_t>(Evidence::kDistribution)] = 1;  // no forest
+  EXPECT_TRUE(engine_->ValidateTarget(good, &stops).IsInvalidArgument());
+  stops.depths.pop_back();
+  EXPECT_TRUE(engine_->ValidateTarget(good, &stops).IsInvalidArgument());
+
+  // The well-formed target still searches.
+  EXPECT_TRUE(engine_->SearchTarget(good, 3, engine_->options().enabled).ok());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -298,6 +299,83 @@ TEST_F(RpcServerTest, ApplicationErrorsComeBackAsWireStatuses) {
   ASSERT_FALSE(response.ok());
   EXPECT_TRUE(response.status().IsInvalidArgument())
       << response.status().ToString();
+  ExpectServerStillHealthy();
+}
+
+TEST_F(RpcServerTest, MalformedTargetsAreInvalidArgumentAndServingContinues) {
+  auto profiled = engine_->Profile(testutil::FigureTarget());
+  ASSERT_TRUE(profiled.ok());
+  const core::QueryTarget& good = *profiled;
+  const std::array<bool, core::kNumEvidence> mask = engine_->options().enabled;
+  size_t embedded_col = SIZE_MAX;
+  for (size_t c = 0; c < good.sigs.size(); ++c) {
+    if (good.sigs[c].has_embedding) embedded_col = c;
+  }
+  ASSERT_NE(embedded_col, SIZE_MAX);
+
+  // Unchecked, each of these would crash, overrun or stall the server: a
+  // short name signature aborts in the forest, a long one reads past the
+  // index's signatures, embedding bits beyond the words overrun, and a NaN
+  // sample stalls the KS merge.
+  std::vector<core::QueryTarget> bad(4, good);
+  bad[0].sigs[0].name_sig.resize(10);
+  bad[1].sigs[0].name_sig.resize(4096, 1);
+  bad[2].sigs[embedded_col].emb_sig.bits = 1u << 16;
+  bad[3].profiles[0].numeric_sample = {1, std::nan(""), 0};
+
+  rpc::RpcClient client("127.0.0.1", server_->port());
+  const auto expect_invalid = [&](uint32_t method, const std::string& request,
+                                  const std::string& what) {
+    auto response = client.CallChecked(method, request);
+    ASSERT_FALSE(response.ok()) << what;
+    EXPECT_TRUE(response.status().IsInvalidArgument())
+        << what << ": " << response.status().ToString();
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    const std::string what = "case " + std::to_string(i);
+    expect_invalid(rpc::kMethodSearch,
+                   rpc::BuildFrame(rpc::kMethodSearch,
+                                   [&](io::Writer& w) {
+                                     core::SaveQueryTarget(w, bad[i]);
+                                     w.WriteU64(5);
+                                     rpc::SaveMask(w, mask);
+                                   }),
+                   "SRCH " + what);
+    expect_invalid(rpc::kMethodDepthCounts,
+                   rpc::BuildFrame(rpc::kMethodDepthCounts,
+                                   [&](io::Writer& w) {
+                                     core::SaveQueryTarget(w, bad[i]);
+                                     rpc::SaveMask(w, mask);
+                                     w.WriteU64(64);
+                                   }),
+                   "DCNT " + what);
+  }
+  // A stop depth past the forest key would compare beyond it.
+  core::CandidateStopDepths stops;
+  stops.depths.resize(good.sigs.size());
+  stops.depths[0][static_cast<size_t>(core::Evidence::kName)] =
+      engine_->options().index.forest.hashes_per_tree + 1;
+  expect_invalid(rpc::kMethodScoreAtStops,
+                 rpc::BuildFrame(rpc::kMethodScoreAtStops,
+                                 [&](io::Writer& w) {
+                                   core::SaveQueryTarget(w, good);
+                                   rpc::SaveStopDepths(w, stops);
+                                   w.WriteU64(64);
+                                   rpc::SaveMask(w, mask);
+                                 }),
+                 "SCOR stop depth");
+
+  // The same connection still answers a well-formed query.
+  auto response = client.CallChecked(
+      rpc::kMethodSearch, rpc::BuildFrame(rpc::kMethodSearch, [&](io::Writer& w) {
+        core::SaveQueryTarget(w, good);
+        w.WriteU64(5);
+        rpc::SaveMask(w, mask);
+      }));
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  const core::SearchResult result = core::LoadSearchResult(**response);
+  ASSERT_TRUE((*response)->status().ok());
+  EXPECT_FALSE(result.ranked.empty());
   ExpectServerStillHealthy();
 }
 

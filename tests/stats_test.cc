@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/random.h"
 #include "stats/descriptive.h"
 #include "stats/empirical.h"
@@ -58,6 +61,72 @@ TEST(KsTest, ShiftDetected) {
   for (int i = 0; i < 1000; ++i) a.push_back(rng.Gaussian(0, 1));
   for (int i = 0; i < 1000; ++i) b.push_back(rng.Gaussian(1.0, 1));
   EXPECT_GT(KsStatistic(a, b), 0.3);
+}
+
+/// Reference KS straight from the definition: the largest ECDF gap over
+/// every observed value, counting each sample in full per point.
+double BruteForceKs(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.empty() || b.empty()) return 1.0;
+  const auto ecdf_count = [](const std::vector<double>& s, double x) {
+    return static_cast<double>(std::count_if(s.begin(), s.end(),
+                                             [x](double v) { return v <= x; }));
+  };
+  double d = 0;
+  for (const std::vector<double>* side : {&a, &b}) {
+    for (double x : *side) {
+      d = std::max(d, std::fabs(ecdf_count(a, x) / static_cast<double>(a.size()) -
+                                ecdf_count(b, x) / static_cast<double>(b.size())));
+    }
+  }
+  return d;
+}
+
+TEST(KsTest, SortedKernelMatchesDefinitionOnTiedRandomSamples) {
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Small integer ranges force ties within and across the samples; signed
+    // zeros compare equal and must merge as ties too.
+    const size_t na = 1 + rng.Uniform(40);
+    const size_t nb = 1 + rng.Uniform(40);
+    const uint64_t range = 1 + rng.Uniform(12);
+    std::vector<double> a;
+    std::vector<double> b;
+    for (size_t i = 0; i < na; ++i) a.push_back(static_cast<double>(rng.Uniform(range)));
+    for (size_t i = 0; i < nb; ++i) b.push_back(static_cast<double>(rng.Uniform(range)));
+    if (trial % 5 == 0) {
+      a.push_back(-0.0);
+      b.push_back(0.0);
+    }
+    const double expected = BruteForceKs(a, b);
+    EXPECT_EQ(KsStatistic(a, b), expected) << "trial " << trial;
+
+    std::vector<double> sa = a;
+    std::vector<double> sb = b;
+    std::sort(sa.begin(), sa.end());
+    std::sort(sb.begin(), sb.end());
+    ASSERT_TRUE(IsKsSample(sa));
+    ASSERT_TRUE(IsKsSample(sb));
+    EXPECT_EQ(KsStatisticSorted(sa, sb), expected) << "trial " << trial;
+    EXPECT_EQ(KsStatisticSorted(sb, sa), expected) << "trial " << trial;
+  }
+  EXPECT_DOUBLE_EQ(KsStatisticSorted({}, std::vector<double>{1.0}), 1.0);
+}
+
+TEST(KsTest, NanValuesAreDroppedNotMerged) {
+  // A NaN compares false both ways, so merging it would never advance.
+  const double nan = std::nan("");
+  EXPECT_EQ(KsStatistic({1, 2, nan, 4}, {1.5, 2.5, 3.5}),
+            KsStatistic({1, 2, 4}, {1.5, 2.5, 3.5}));
+  EXPECT_DOUBLE_EQ(KsStatistic({nan}, {1}), 1.0);  // nothing left to compare
+}
+
+TEST(KsTest, IsKsSampleRequiresAscendingNanFreeValues) {
+  EXPECT_TRUE(IsKsSample(std::vector<double>{}));
+  EXPECT_TRUE(IsKsSample(std::vector<double>{1, 1, 2, 5}));
+  EXPECT_TRUE(IsKsSample(std::vector<double>{-0.0, 0.0, -0.0}));
+  EXPECT_FALSE(IsKsSample(std::vector<double>{2, 1}));
+  EXPECT_FALSE(IsKsSample(std::vector<double>{1, std::nan(""), 2}));
+  EXPECT_FALSE(IsKsSample(std::vector<double>{std::nan("")}));
 }
 
 TEST(EmpiricalTest, CdfAndCcdf) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "common/string_util.h"
 #include "table/lake.h"
 #include "table/value.h"
 
@@ -26,6 +29,32 @@ TEST(ValueTest, NullDetection) {
   EXPECT_TRUE(IsNullCell("NaN"));
   EXPECT_FALSE(IsNullCell("0"));
   EXPECT_FALSE(IsNullCell("none at all"));
+}
+
+TEST(ValueTest, EveryNanSpellingIsNull) {
+  // ParseDouble (std::from_chars) reads all of these as NaN; none may reach
+  // a numeric sample.
+  for (const char* cell :
+       {"nan", "NAN", "-nan", "-NaN", " -nan ", "nan(1)", "-nan(ind)", "n,an"}) {
+    ASSERT_TRUE(ParseDouble(cell).has_value()) << cell;
+    EXPECT_TRUE(std::isnan(*ParseDouble(cell))) << cell;
+    EXPECT_TRUE(IsNullCell(cell)) << cell;
+    EXPECT_FALSE(CellAsNumber(cell).has_value()) << cell;
+  }
+  // Cells that merely start like NaN, and infinities, stay values.
+  for (const char* cell : {"Nancy", "nano", "-n", "n/a/b", "inf", "-inf"}) {
+    EXPECT_FALSE(IsNullCell(cell)) << cell;
+  }
+}
+
+TEST(TableTest, NanCellsAreNullsNotNumbers) {
+  auto r = Table::FromRows("readings", {"Reading"},
+                           {{"1.5"}, {"-nan"}, {"2.5"}, {"-NaN"}, {"nan(1)"}, {"4"}});
+  Table t = std::move(r).ValueOrDie();
+  EXPECT_EQ(t.column(0).type(), ColumnType::kNumeric);
+  EXPECT_EQ(t.column(0).null_count(), 3u);
+  const std::vector<double> ext = t.column(0).NumericExtent();
+  EXPECT_EQ(ext, (std::vector<double>{1.5, 2.5, 4}));
 }
 
 TEST(ValueTest, CellAsNumber) {
