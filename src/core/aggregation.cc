@@ -94,4 +94,12 @@ double CombineDistances(const DistanceVector& dv, const EvidenceWeights& weights
   return std::sqrt(num / den);
 }
 
+EvidenceWeights MaskedWeights(EvidenceWeights weights,
+                              const std::array<bool, kNumEvidence>& mask) {
+  for (size_t t = 0; t < kNumEvidence; ++t) {
+    if (!mask[t]) weights.w[t] = 0;
+  }
+  return weights;
+}
+
 }  // namespace d3l::core

@@ -73,4 +73,9 @@ DistanceVector AggregateDataset(const std::vector<PairDistances>& rows,
 /// sqrt( sum_t (w_t * dv[t])^2 / sum_t w_t ).
 double CombineDistances(const DistanceVector& dv, const EvidenceWeights& weights);
 
+/// \brief `weights` with every evidence type the mask disables set to 0, so
+/// Eq. 3 combines only the enabled types.
+EvidenceWeights MaskedWeights(EvidenceWeights weights,
+                              const std::array<bool, kNumEvidence>& mask);
+
 }  // namespace d3l::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -466,16 +465,26 @@ std::array<bool, kNumEvidence> ConsultedIndexes(
 }
 }  // namespace
 
-void CandidateDepthCounts::Add(const CandidateDepthCounts& other) {
-  assert(counts.size() == other.counts.size());
+Status CandidateDepthCounts::Add(const CandidateDepthCounts& other) {
+  if (counts.size() != other.counts.size()) {
+    return Status::InvalidArgument("depth counts for " +
+                                   std::to_string(other.counts.size()) +
+                                   " columns do not add to counts for " +
+                                   std::to_string(counts.size()));
+  }
   for (size_t c = 0; c < counts.size(); ++c) {
     for (size_t e = 0; e < kNumEvidence; ++e) {
-      assert(counts[c][e].size() == other.counts[c][e].size());
+      if (counts[c][e].size() != other.counts[c][e].size()) {
+        return Status::InvalidArgument("depth counts of column " + std::to_string(c) +
+                                       ", evidence " + std::to_string(e) +
+                                       " differ in length");
+      }
       for (size_t d = 0; d < counts[c][e].size(); ++d) {
         counts[c][e][d] += other.counts[c][e][d];
       }
     }
   }
+  return Status::OK();
 }
 
 QueryTarget D3LEngine::ProfileTarget(const Table& target) const {
@@ -556,6 +565,23 @@ std::vector<std::vector<uint32_t>> D3LEngine::UnionCandidates(
                      candidates.end());
   }
   return per_column;
+}
+
+CandidateLists D3LEngine::MergeCandidateLists(const std::vector<CandidateLists>& parts,
+                                              size_t m) {
+  CandidateLists merged;
+  merged.ids.resize(parts.empty() ? 0 : parts.front().ids.size());
+  for (size_t c = 0; c < merged.ids.size(); ++c) {
+    for (size_t e = 0; e < kNumEvidence; ++e) {
+      std::vector<uint32_t>& ids = merged.ids[c][e];
+      for (const CandidateLists& part : parts) {
+        ids.insert(ids.end(), part.ids[c][e].begin(), part.ids[c][e].end());
+      }
+      std::sort(ids.begin(), ids.end());
+      if (ids.size() > m) ids.resize(m);
+    }
+  }
+  return merged;
 }
 
 std::vector<PairDistances> D3LEngine::ScoreCandidates(
@@ -743,15 +769,10 @@ Result<SearchResult> D3LEngine::SearchTarget(
   std::vector<PairDistances> rows =
       ScoreCandidates(target, UnionCandidates(lists), enabled_mask);
 
-  // Evidence weights restricted to the enabled mask.
-  EvidenceWeights weights = options_.weights;
-  for (size_t t = 0; t < kNumEvidence; ++t) {
-    if (!enabled_mask[t]) weights.w[t] = 0;
-  }
-
   SearchResult result = RankRows(
       std::move(rows), target.sigs.size(), lake_->size(),
-      [this](uint32_t id) { return indexes_.profile(id).ref.table; }, weights, k);
+      [this](uint32_t id) { return indexes_.profile(id).ref.table; },
+      MaskedWeights(options_.weights, enabled_mask), k);
   result.target_profiles = std::move(target.profiles);
   result.target_sigs = std::move(target.sigs);
   return result;

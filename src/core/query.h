@@ -177,9 +177,10 @@ std::string CanonicalTargetBytes(const QueryTarget& target);
 struct CandidateDepthCounts {
   std::vector<std::array<std::vector<size_t>, kNumEvidence>> counts;
 
-  /// Element-wise accumulation of another engine's counts (the shapes must
-  /// match: same columns, same consulted indexes, same forest depths).
-  void Add(const CandidateDepthCounts& other);
+  /// Element-wise accumulation of another engine's counts. The shapes must
+  /// match (same columns, same consulted indexes, same forest depths);
+  /// otherwise returns InvalidArgument, and this sum is no longer usable.
+  Status Add(const CandidateDepthCounts& other);
 };
 
 /// \brief Resolved candidate-retrieval depth for every (column, evidence)
@@ -249,13 +250,11 @@ class D3LEngine {
   //
   // Search(target, k) is exactly ProfileTarget -> CollectDepthCounts ->
   // ResolveStopDepths -> CollectCandidates -> UnionCandidates ->
-  // ScoreCandidates -> RankRows. A sharded deployment
-  // (serving::ShardedEngine) runs the same pipeline with the per-shard
-  // pieces merged at the coordinator: depth counts are summed before
-  // resolving stop depths, per-shard candidate lists (whose local id order
-  // is monotone in the global order) are merged and re-capped at m before
-  // scoring, and scored rows are concatenated (with attribute ids remapped
-  // to the global registry) before ranking — yielding a top-k that is
+  // ScoreCandidates -> RankRows. serving::Coordinate runs the same pipeline
+  // over disjoint shards: depth counts are Add()ed before resolving stop
+  // depths, candidate lists (whose local id order is monotone in the global
+  // order) are joined by MergeCandidateLists, and scored rows with global
+  // attribute ids are concatenated before ranking — yielding a top-k that is
   // byte-identical to a single engine over the whole lake.
 
   /// Profiles a target table (columns must be non-empty). Shard-independent:
@@ -290,6 +289,14 @@ class D3LEngine {
   /// shape ScoreCandidates consumes.
   static std::vector<std::vector<uint32_t>> UnionCandidates(
       const CandidateLists& lists);
+
+  /// Joins candidate lists from disjoint shards, all for the same target
+  /// columns: per (column, evidence), the m smallest ids of their union, in
+  /// ascending order — the CollectCandidates cap applied across shards. An
+  /// id in the whole-lake first m has fewer than m smaller ids in any one
+  /// shard, so merging each shard's first m yields the whole-lake lists.
+  static CandidateLists MergeCandidateLists(const std::vector<CandidateLists>& parts,
+                                            size_t m);
 
   /// Scatter phase C: scores the given candidates — one PairDistances row
   /// per (target column, candidate attribute), in (column, id) order.

@@ -1,9 +1,8 @@
 #include "serving/remote_backend.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "obs/trace.h"
+#include "serving/coordinator.h"
 
 namespace d3l::serving {
 
@@ -37,17 +36,60 @@ Status ParseEndpoint(const std::string& spec, std::string* host,
   return Status::OK();
 }
 
-/// One INFO round trip, decoded and integrity-checked.
-Result<rpc::ServerInfo> FetchInfo(rpc::RpcClient& client) {
-  const std::string request =
-      rpc::BuildFrame(rpc::kMethodInfo, [](io::Writer&) {});
-  D3L_ASSIGN_OR_RETURN(std::unique_ptr<io::Reader> r,
-                       client.CallChecked(rpc::kMethodInfo, request));
-  rpc::ServerInfo info = rpc::LoadServerInfo(*r);
+/// One round trip to `client`: the reply decoded by `load`, with the
+/// reader's status and the section checksum checked.
+template <typename Load>
+auto Call(rpc::RpcClient& client, uint32_t method, const std::string& request,
+          const Load& load) -> Result<decltype(load(std::declval<io::Reader&>()))> {
+  D3L_ASSIGN_OR_RETURN(std::unique_ptr<io::Reader> r, client.CallChecked(method, request));
+  auto value = load(*r);
   D3L_RETURN_NOT_OK(r->status());
   D3L_RETURN_NOT_OK(r->EndSection());
-  return info;
+  return value;
 }
+
+/// One shard server as a ShardEndpoint: the DCNT and SCOR round trips.
+class RemoteShard final : public ShardEndpoint {
+ public:
+  explicit RemoteShard(rpc::RpcClient* client) : client_(client) {}
+
+  std::string endpoint_name() const override { return client_->endpoint(); }
+
+  Result<core::CandidateDepthCounts> CollectDepthCounts(
+      const core::QueryTarget& target,
+      const std::array<bool, core::kNumEvidence>& enabled_mask,
+      size_t m) const override {
+    const std::string request =
+        rpc::BuildFrame(rpc::kMethodDepthCounts, [&](io::Writer& w) {
+          core::SaveQueryTarget(w, target);
+          rpc::SaveMask(w, enabled_mask);
+          w.WriteU64(m);
+        });
+    return Call(*client_, rpc::kMethodDepthCounts, request, rpc::LoadDepthCounts);
+  }
+
+  Result<ShardScore> ScoreAtStops(
+      const core::QueryTarget& target, const core::CandidateStopDepths& stops,
+      size_t m,
+      const std::array<bool, core::kNumEvidence>& enabled_mask) const override {
+    const std::string request =
+        rpc::BuildFrame(rpc::kMethodScoreAtStops, [&](io::Writer& w) {
+          core::SaveQueryTarget(w, target);
+          rpc::SaveStopDepths(w, stops);
+          w.WriteU64(m);
+          rpc::SaveMask(w, enabled_mask);
+        });
+    return Call(*client_, rpc::kMethodScoreAtStops, request, [](io::Reader& r) {
+      ShardScore score;
+      score.lists = rpc::LoadCandidateLists(r);
+      score.rows = rpc::LoadRows(r);
+      return score;
+    });
+  }
+
+ private:
+  rpc::RpcClient* client_;
+};
 
 }  // namespace
 
@@ -59,7 +101,7 @@ Result<RemoteBackend::Stitched> RemoteBackend::Stitch(
   st.options_fingerprint = first.backend.options_fingerprint;
   st.index_fingerprint = first.backend.index_fingerprint;
   st.num_shards = first.backend.num_shards;
-  st.single_full_server = infos.size() == 1 && first.serves_all;
+  st.options = first.options;
 
   // Every server must be a shard of the SAME deployment: a subset
   // ShardedEngine folds the full manifest into its fingerprints and totals
@@ -151,18 +193,15 @@ Result<std::unique_ptr<RemoteBackend>> RemoteBackend::Connect(
         std::move(host), port, options.client));
   }
 
-  std::vector<Result<rpc::ServerInfo>> fetched;
-  fetched.reserve(endpoints.size());
-  for (auto& client : backend->clients_) fetched.push_back(FetchInfo(*client));
+  const std::string request = rpc::BuildFrame(rpc::kMethodInfo, [](io::Writer&) {});
   std::vector<rpc::ServerInfo> infos;
-  infos.reserve(fetched.size());
-  for (auto& f : fetched) {
-    D3L_RETURN_NOT_OK(f.status());
-    infos.push_back(std::move(*f));
+  for (auto& client : backend->clients_) {
+    D3L_ASSIGN_OR_RETURN(rpc::ServerInfo info,
+                         Call(*client, rpc::kMethodInfo, request, rpc::LoadServerInfo));
+    infos.push_back(std::move(info));
   }
 
   D3L_ASSIGN_OR_RETURN(Stitched st, Stitch(infos, endpoints));
-  backend->options_ = std::move(infos.front().options);
   backend->state_ = std::make_shared<const Stitched>(std::move(st));
   return backend;
 }
@@ -177,19 +216,10 @@ Result<core::QueryTarget> RemoteBackend::Profile(const Table& target) const {
   // identically — skip past unreachable ones rather than failing.
   Status last = Status::OK();
   for (auto& client : clients_) {
-    Result<std::unique_ptr<io::Reader>> r =
-        client->CallChecked(rpc::kMethodProfile, request);
-    if (!r.ok()) {
-      if (r.status().IsUnavailable()) {
-        last = r.status();
-        continue;
-      }
-      return r.status();
-    }
-    core::QueryTarget qt = core::LoadQueryTarget(**r);
-    D3L_RETURN_NOT_OK((*r)->status());
-    D3L_RETURN_NOT_OK((*r)->EndSection());
-    return qt;
+    Result<core::QueryTarget> qt =
+        Call(*client, rpc::kMethodProfile, request, core::LoadQueryTarget);
+    if (qt.ok() || !qt.status().IsUnavailable()) return qt;
+    last = qt.status();
   }
   return last;
 }
@@ -197,139 +227,14 @@ Result<core::QueryTarget> RemoteBackend::Profile(const Table& target) const {
 Result<core::SearchResult> RemoteBackend::Search(
     core::QueryTarget target, size_t k,
     const std::array<bool, core::kNumEvidence>& enabled_mask) const {
-  if (target.sigs.empty() || target.profiles.size() != target.sigs.size()) {
-    return Status::InvalidArgument("target is not a profiled QueryTarget");
-  }
   const std::shared_ptr<const Stitched> st = state();
-  const size_t n_servers = clients_.size();
-  const size_t n_cols = target.sigs.size();
-
-  // One full server needs no decomposition: its SRCH answer IS the
-  // whole-lake answer, bytes included.
-  if (st->single_full_server) {
-    const std::string request =
-        rpc::BuildFrame(rpc::kMethodSearch, [&](io::Writer& w) {
-          core::SaveQueryTarget(w, target);
-          w.WriteU64(k);
-          rpc::SaveMask(w, enabled_mask);
-        });
-    D3L_ASSIGN_OR_RETURN(
-        std::unique_ptr<io::Reader> r,
-        clients_[0]->CallChecked(rpc::kMethodSearch, request));
-    core::SearchResult result = core::LoadSearchResult(*r);
-    D3L_RETURN_NOT_OK(r->status());
-    D3L_RETURN_NOT_OK(r->EndSection());
-    return result;
-  }
-
-  const size_t m = std::max(options_.candidates_per_attribute, k);
-
-  // Phase 1 — scatter DCNT: every server sums candidate depth counts over
-  // its shards; the coordinator adds the disjoint sums and resolves the
-  // stop depths ONCE (the global synchronous-descent stop rule).
-  const std::string count_request =
-      rpc::BuildFrame(rpc::kMethodDepthCounts, [&](io::Writer& w) {
-        core::SaveQueryTarget(w, target);
-        rpc::SaveMask(w, enabled_mask);
-        w.WriteU64(m);
-      });
-  std::vector<core::CandidateDepthCounts> counts(n_servers);
-  std::vector<Status> errors(n_servers, Status::OK());
-  // ParallelFor workers carry no trace of their own; re-installing the
-  // caller's handle in each lambda puts every per-server RPC span (and the
-  // server subtree it stitches in) under this query's search span.
-  const obs::TraceHandle trace = obs::CurrentTrace();
-  pool_.ParallelFor(n_servers, [&](size_t i) {
-    obs::TraceScope scope(trace);
-    Result<std::unique_ptr<io::Reader>> r =
-        clients_[i]->CallChecked(rpc::kMethodDepthCounts, count_request);
-    if (!r.ok()) {
-      errors[i] = r.status();
-      return;
-    }
-    counts[i] = rpc::LoadDepthCounts(**r);
-    errors[i] = (*r)->status();
-    if (errors[i].ok()) errors[i] = (*r)->EndSection();
-  });
-  for (const Status& e : errors) D3L_RETURN_NOT_OK(e);
-  core::CandidateDepthCounts total = std::move(counts[0]);
-  for (size_t i = 1; i < n_servers; ++i) total.Add(counts[i]);
-  const core::CandidateStopDepths stops =
-      core::D3LEngine::ResolveStopDepths(total, m);
-
-  // Phase 2 — scatter SCOR: every server retrieves at the global stop
-  // depths and scores its local candidate unions.
-  const std::string score_request =
-      rpc::BuildFrame(rpc::kMethodScoreAtStops, [&](io::Writer& w) {
-        core::SaveQueryTarget(w, target);
-        rpc::SaveStopDepths(w, stops);
-        w.WriteU64(m);
-        rpc::SaveMask(w, enabled_mask);
-      });
-  std::vector<core::CandidateLists> lists(n_servers);
-  std::vector<std::vector<core::PairDistances>> rows(n_servers);
-  pool_.ParallelFor(n_servers, [&](size_t i) {
-    obs::TraceScope scope(trace);
-    Result<std::unique_ptr<io::Reader>> r =
-        clients_[i]->CallChecked(rpc::kMethodScoreAtStops, score_request);
-    if (!r.ok()) {
-      errors[i] = r.status();
-      return;
-    }
-    lists[i] = rpc::LoadCandidateLists(**r);
-    rows[i] = rpc::LoadRows(**r);
-    errors[i] = (*r)->status();
-    if (errors[i].ok()) errors[i] = (*r)->EndSection();
-  });
-  for (const Status& e : errors) D3L_RETURN_NOT_OK(e);
-
-  // Coordinator — merge the per-server m-capped lists and re-cap at m (the
-  // whole-lake first-m: an id in the global first-m owned by server S is in
-  // S's first-m), then keep only the rows whose candidate survived. Each
-  // server scored its LOCAL union, a superset of its share of the global
-  // one, so every needed row exists and the extras are dropped here.
-  std::vector<std::vector<uint32_t>> unions(n_cols);
-  for (size_t c = 0; c < n_cols; ++c) {
-    std::vector<uint32_t> selected;
-    for (size_t e = 0; e < core::kNumEvidence; ++e) {
-      std::vector<uint32_t> merged;
-      for (size_t i = 0; i < n_servers; ++i) {
-        if (c < lists[i].ids.size()) {
-          const std::vector<uint32_t>& ids = lists[i].ids[c][e];
-          merged.insert(merged.end(), ids.begin(), ids.end());
-        }
-      }
-      std::sort(merged.begin(), merged.end());
-      if (merged.size() > m) merged.resize(m);
-      selected.insert(selected.end(), merged.begin(), merged.end());
-    }
-    std::sort(selected.begin(), selected.end());
-    selected.erase(std::unique(selected.begin(), selected.end()),
-                   selected.end());
-    unions[c] = std::move(selected);
-  }
-  std::vector<core::PairDistances> all_rows;
-  for (size_t i = 0; i < n_servers; ++i) {
-    for (core::PairDistances& row : rows[i]) {
-      if (row.target_column < n_cols &&
-          std::binary_search(unions[row.target_column].begin(),
-                             unions[row.target_column].end(),
-                             row.attribute_id)) {
-        all_rows.push_back(std::move(row));
-      }
-    }
-  }
-
-  core::EvidenceWeights weights = options_.weights;
-  for (size_t t = 0; t < core::kNumEvidence; ++t) {
-    if (!enabled_mask[t]) weights.w[t] = 0;
-  }
-  core::SearchResult result = core::D3LEngine::RankRows(
-      std::move(all_rows), n_cols, st->table_names.size(),
-      [st](uint32_t id) { return st->attr_table[id]; }, weights, k);
-  result.target_profiles = std::move(target.profiles);
-  result.target_sigs = std::move(target.sigs);
-  return result;
+  std::vector<RemoteShard> shards;
+  std::vector<const ShardEndpoint*> endpoints;
+  shards.reserve(clients_.size());  // endpoints point into it
+  endpoints.reserve(clients_.size());
+  for (const auto& client : clients_) endpoints.push_back(&shards.emplace_back(client.get()));
+  return Coordinate(endpoints, &pool_, std::move(target), k, enabled_mask, st->options,
+                    st->attr_table, st->table_names.size());
 }
 
 BackendInfo RemoteBackend::Info() const {
@@ -360,20 +265,17 @@ Status RemoteBackend::Reload() {
   endpoints.reserve(n_servers);
   for (auto& client : clients_) endpoints.push_back(client->endpoint());
   pool_.ParallelFor(n_servers, [&](size_t i) {
-    Result<std::unique_ptr<io::Reader>> r =
-        clients_[i]->CallChecked(rpc::kMethodReload, request);
-    if (!r.ok()) {
-      errors[i] = r.status();
-      return;
+    Result<rpc::ServerInfo> info =
+        Call(*clients_[i], rpc::kMethodReload, request, rpc::LoadServerInfo);
+    if (info.ok()) {
+      infos[i] = std::move(*info);
+    } else {
+      errors[i] = info.status();
     }
-    infos[i] = rpc::LoadServerInfo(**r);
-    errors[i] = (*r)->status();
-    if (errors[i].ok()) errors[i] = (*r)->EndSection();
   });
   for (const Status& e : errors) D3L_RETURN_NOT_OK(e);
 
   D3L_ASSIGN_OR_RETURN(Stitched st, Stitch(infos, endpoints));
-  options_ = std::move(infos.front().options);
   {
     MutexLock lock(state_mu_);
     state_ = std::make_shared<const Stitched>(std::move(st));

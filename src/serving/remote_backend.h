@@ -9,23 +9,15 @@
 // stitches the global numbering the servers report back into local
 // table-name/attribute maps.
 //
-// Search runs the same exact decomposition ShardedEngine runs in-process,
-// with one extra round trip because the stop rule is GLOBAL:
-//
-//   1. DCNT to every server -> Add() the disjoint counts -> resolve the
-//      stop depths once (core::D3LEngine::ResolveStopDepths);
-//   2. SCOR (target, stops, m, mask) to every server -> merge the returned
-//      m-capped global-id candidate lists, re-cap at m, build per-column
-//      unions, keep only rows whose candidate survived the merge -> rank.
-//
-// An id in the global first-m owned by server S is necessarily in S's
-// first-m (it has fewer than m smaller ids globally, hence fewer within
-// S), so the merged lists equal the whole-lake lists; rows are pure
-// functions of (query, candidate); RankRows canonically re-sorts. The
-// result is therefore byte-identical to a single engine over the unsharded
-// lake — distances, tie order, candidate alignments and all (asserted by
-// tests/remote_test.cc). A deployment of ONE server that serves every
-// shard skips the decomposition and sends SRCH.
+// Search is serving::Coordinate (coordinator.h) over one ShardEndpoint per
+// server, fanned out on a small pool: a DCNT round trip to every server,
+// the stop depths resolved once from the summed counts, then a SCOR round
+// trip to every server, whose replies are checked, merged and ranked. Each
+// server merges its own shards' candidate lists before scoring, and the
+// coordinator drops the rows of candidates that fall out of the whole-lake
+// merge. The result is byte-identical to a single engine over the
+// unsharded lake — distances, tie order, candidate alignments and all
+// (asserted by tests/remote_test.cc).
 //
 // Degradation: a killed or unreachable server surfaces as
 // Status::Unavailable after the client's bounded retries — Search fails
@@ -76,8 +68,9 @@ class RemoteBackend : public SearchBackend {
       const std::array<bool, core::kNumEvidence>& enabled_mask) const override;
 
   /// The deployment's engine options, as reported (uniformly) by the
-  /// servers. Not safe to call concurrently with Reload().
-  const core::D3LOptions& options() const override { return options_; }
+  /// servers. The reference stays valid until the next Reload(); Search
+  /// reads the options of the generation it snapshots instead.
+  const core::D3LOptions& options() const override { return state()->options; }
 
   /// kind = kRemote; totals/fingerprints are the whole deployment's — the
   /// index fingerprint equals the local ShardedEngine's over the same
@@ -88,7 +81,8 @@ class RemoteBackend : public SearchBackend {
 
   /// Asks every server to reload its deployment (the RELD RPC), then
   /// re-verifies coherence and re-stitches the global numbering from the
-  /// reloaded identities. In-flight Search calls keep the old numbering.
+  /// reloaded identities. In-flight Search calls keep the generation they
+  /// started with: its numbering and its options.
   Status Reload() D3L_EXCLUDES(state_mu_);
 
   size_t num_servers() const { return clients_.size(); }
@@ -102,7 +96,7 @@ class RemoteBackend : public SearchBackend {
     size_t num_shards = 0;                 ///< across all servers
     uint64_t options_fingerprint = 0;
     uint64_t index_fingerprint = 0;
-    bool single_full_server = false;       ///< SRCH fast path applies
+    core::D3LOptions options;              ///< as the servers report them
   };
 
   explicit RemoteBackend(size_t num_threads)
@@ -117,7 +111,6 @@ class RemoteBackend : public SearchBackend {
   }
 
   std::vector<std::unique_ptr<rpc::RpcClient>> clients_;
-  core::D3LOptions options_;
 
   mutable Mutex state_mu_;
   std::shared_ptr<const Stitched> state_ D3L_GUARDED_BY(state_mu_);

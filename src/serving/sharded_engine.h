@@ -1,29 +1,22 @@
 // Scatter-gather query serving over a sharded lake.
 //
 // A ShardedEngine opens a manifest (see manifest.h), loads every shard's
-// snapshot into its own D3LEngine replica and serves top-k discovery
-// queries by fanning each query phase out across a fixed thread pool:
+// snapshot into its own D3LEngine replica and answers top-k discovery
+// queries over all of them. It is both a SearchBackend, which front-ends
+// (DiscoveryService, the CLI) address exactly like a single engine, and a
+// ShardEndpoint (coordinator.h): Search runs serving::Coordinate over one
+// endpoint, this engine. The endpoint phases fan out across a fixed thread
+// pool, one task per replica:
+// CollectDepthCounts sums the replicas' depth counts, and ScoreAtStops
+// merges their candidate lists before scoring, so an in-process query
+// scores exactly the whole-lake candidate union.
 //
-//   profile target        (once — signatures are shard-independent)
-//   depth counts          (per shard)        \  summed at the coordinator,
-//   resolve stop depths   (coordinator)       ) exactly reproducing the
-//   collect candidates    (per shard)        /  single-engine stop rule
-//   select first-m ids    (coordinator — the canonical id-order cap)
-//   score candidates      (per shard)
-//   gather + rank         (coordinator)
-//
-// Because shards index disjoint attribute sets, per-shard depth counts add
-// into exactly the whole-lake counts, per-shard candidate lists merge into
-// exactly the whole-lake id-order first-m, and per-candidate rows are pure
-// functions of (query, candidate). After remapping shard-local ids onto the
-// original lake's table/attribute numbering, the merged ranking is
-// byte-identical to a single unsharded engine's — distances, evidence
-// vectors, tie order and all (asserted by tests/serving_test.cc).
-//
-// ShardedEngine implements serving::SearchBackend, so front-ends
-// (DiscoveryService, the CLI) address it and a single-engine deployment
-// through one API: Profile(table) -> QueryTarget, then
-// Search(target, k, mask) -> SearchResult.
+// Shards index disjoint attribute sets, and each replica's local ids are
+// remapped onto the original lake's table/attribute numbering, so the
+// ranking is byte-identical to a single unsharded engine's — distances,
+// evidence vectors, tie order and all (asserted by tests/serving_test.cc).
+// A SUBSET engine (ShardedEngineOptions::serve_shards) is the same endpoint
+// over some of the shards: what a shard server answers DCNT and SCOR with.
 #pragma once
 
 #include <memory>
@@ -32,6 +25,7 @@
 
 #include "common/status.h"
 #include "core/query.h"
+#include "serving/coordinator.h"
 #include "serving/manifest.h"
 #include "serving/search_backend.h"
 #include "serving/thread_pool.h"
@@ -63,16 +57,14 @@ struct ShardedEngineOptions {
   std::vector<size_t> serve_shards;
 };
 
-/// \brief A batch of targets served together: M targets fan out into M x N
-/// shard tasks per phase, amortizing pool scheduling and keeping every
-/// worker busy even when single queries are cheap.
+/// \brief A batch of targets for ShardedEngine::Execute.
 struct QueryBatch {
   std::vector<const Table*> targets;
   size_t k = 10;
 };
 
 /// \brief Parallel scatter-gather SearchBackend over N shard replicas.
-class ShardedEngine : public SearchBackend {
+class ShardedEngine : public SearchBackend, public ShardEndpoint {
  public:
   /// Loads every shard named by the manifest (eagerly). Fails with a clean
   /// Status on a missing shard file, a checksum/size mismatch, shards whose
@@ -114,42 +106,28 @@ class ShardedEngine : public SearchBackend {
   /// Every served table, ascending by global id.
   std::vector<ServedTable> ServedTables() const;
 
-  // -- Phase API (remote scatter-gather building blocks) --
+  // -- ShardEndpoint --
   //
-  // A whole-lake query over N servers runs: every server sums depth counts
-  // over its shards (CollectDepthCounts); the coordinator Add()s them and
-  // resolves the stop depths once (core::D3LEngine::ResolveStopDepths, the
-  // global stop rule); every server then retrieves + scores at those depths
-  // (ScoreAtStops); the coordinator merges the returned global-id candidate
-  // lists, re-caps at m, filters the rows to the selected per-column unions
-  // and ranks. Byte-identical to one engine over the unsharded lake for the
-  // same reasons the in-process scatter-gather is (see file header).
+  // The two scatter phases over the served shards, in global attribute ids.
+  // Search runs them through Coordinate; a shard server answers DCNT and
+  // SCOR with them, and a RemoteBackend coordinates over its servers.
+
+  /// "shards 0,2": the manifest shards this engine serves.
+  std::string endpoint_name() const override;
 
   /// Summed candidate depth counts over the served shards. `m` is the
   /// per-index early-termination budget (max(candidates_per_attribute, k)).
   Result<core::CandidateDepthCounts> CollectDepthCounts(
       const core::QueryTarget& target,
-      const std::array<bool, core::kNumEvidence>& enabled_mask, size_t m) const;
+      const std::array<bool, core::kNumEvidence>& enabled_mask,
+      size_t m) const override;
 
-  /// ScoreAtStops output: the served shards' contribution to one query.
-  struct ShardScore {
-    /// Per (column, evidence) candidate ids in GLOBAL numbering, ascending,
-    /// merged across the served shards and capped at the m smallest — the
-    /// coordinator re-merges these across servers and re-caps at m, which
-    /// yields exactly the whole-lake first-m (an id in the global first-m
-    /// owned by this server is necessarily in this server's first-m).
-    core::CandidateLists lists;
-    /// Scored rows for this server's per-column candidate unions, attribute
-    /// ids in GLOBAL numbering. Rows are pure functions of (query,
-    /// candidate); the coordinator drops rows for candidates that fall out
-    /// of the global first-m after the cross-server merge.
-    std::vector<core::PairDistances> rows;
-  };
-
-  /// Retrieval + scoring at externally resolved stop depths.
+  /// Retrieval at externally resolved stop depths, the served replicas'
+  /// lists merged (core::D3LEngine::MergeCandidateLists), then scoring of
+  /// the merged per-column unions.
   Result<ShardScore> ScoreAtStops(
       const core::QueryTarget& target, const core::CandidateStopDepths& stops,
-      size_t m, const std::array<bool, core::kNumEvidence>& enabled_mask) const;
+      size_t m, const std::array<bool, core::kNumEvidence>& enabled_mask) const override;
 
   // -- SearchBackend --
   using SearchBackend::Search;  // the Profile+Search convenience overload
@@ -181,28 +159,13 @@ class ShardedEngine : public SearchBackend {
   }
 
   /// Batched execution: results[i] corresponds to batch.targets[i]. A bad
-  /// target (null, or without columns) fails only its own slot. Targets
-  /// are profiled in parallel and duplicates (same Table pointer) are
-  /// profiled/scattered once.
+  /// target (null, or without columns) fails only its own slot. Distinct
+  /// targets are profiled in parallel, then searched one after another;
+  /// duplicates (same Table pointer) copy the first slot's result.
   std::vector<Result<core::SearchResult>> Execute(const QueryBatch& batch) const;
 
  private:
   ShardedEngine(ShardManifest manifest, size_t num_threads);
-
-  /// One batch slot after the profiling phase: failed, a duplicate of an
-  /// earlier slot, or a profiled target ready for the scatter phases.
-  struct ProfiledSlot {
-    Status error;
-    size_t dup_of = SIZE_MAX;  ///< earlier slot with the same profiled table
-    core::QueryTarget qt;
-  };
-
-  /// Phases 2-5 (scatter depth counts, resolve, scatter candidates, score,
-  /// gather/rank) for already-profiled slots — the shared engine behind
-  /// both Search(QueryTarget) and Execute(QueryBatch).
-  std::vector<Result<core::SearchResult>> ExecuteProfiled(
-      std::vector<ProfiledSlot> slots, size_t k,
-      const std::array<bool, core::kNumEvidence>& enabled_mask) const;
 
   ShardManifest manifest_;
   /// Schema-only metadata backing each loaded engine (must outlive it).

@@ -1,17 +1,21 @@
 // The remote serving tier end to end: a RemoteBackend scatter-gathering
 // over N shard_server-style RpcServers must return rankings BYTE-IDENTICAL
 // to the local ShardedEngine over the same manifest — including after a
-// remote Reload() — and a killed server must surface Status::Unavailable
-// after bounded retries without hanging DiscoveryService::Submit. Also
-// covers BackendRef parsing, the OpenBackend factory, deployment-coherence
-// rejection at Connect, and the EngineBackend source-identity fingerprint.
+// remote Reload() and while reloads run — and a killed server must surface
+// Status::Unavailable after bounded retries without hanging
+// DiscoveryService::Submit. Also covers BackendRef parsing, the
+// OpenBackend factory, deployment-coherence rejection at Connect, and the
+// EngineBackend source-identity fingerprint.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -185,7 +189,7 @@ TEST_F(RemoteTest, TwoServersMatchLocalShardedByteForByte) {
 TEST_F(RemoteTest, SingleFullServerMatchesViaDirectSearch) {
   DataLake lake = testutil::FigureLake(3);
   const std::string manifest = BuildDeployment(lake, 2, "solo");
-  // One server serving every shard takes the SRCH fast path.
+  // One server serving every shard answers DCNT and SCOR like any other.
   CheckRemoteParity(manifest, {{0, 1}},
                     {testutil::FigureTarget(), lake.table(2)}, 8);
 }
@@ -251,6 +255,50 @@ TEST_F(RemoteTest, ReloadPicksUpARebuiltDeploymentExactly) {
     ExpectIdenticalResults(*expected, *actual,
                            "post-reload target=" + target.name());
   }
+}
+
+TEST_F(RemoteTest, SearchesDuringReloadsStayExact) {
+  DataLake lake = testutil::FigureLake(4);
+  const std::string manifest = BuildDeployment(lake, 2, "reload_race");
+  auto local = serving::ShardedEngine::Open(manifest);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  const std::vector<std::string> endpoints = StartServers(manifest, {{0}, {1}});
+  auto remote = serving::RemoteBackend::Connect(endpoints, FastFail());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+
+  const std::array<bool, core::kNumEvidence> mask = (*local)->options().enabled;
+  auto target = (*local)->Profile(testutil::FigureTarget());
+  ASSERT_TRUE(target.ok());
+  auto expected = (*local)->Search(*target, 10, mask);
+  ASSERT_TRUE(expected.ok());
+  const std::string expected_bytes = testutil::SearchResultBytes(*expected);
+
+  // One thread searches in a loop while this one reloads the unchanged
+  // deployment: every search reads the generation it snapshotted.
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> searches{0};
+  size_t failed = 0;
+  size_t differing = 0;
+  std::thread searcher([&] {
+    while (!stop.load()) {
+      auto result = (*remote)->Search(*target, 10, mask);
+      if (!result.ok()) {
+        ++failed;
+      } else if (testutil::SearchResultBytes(*result) != expected_bytes) {
+        ++differing;
+      }
+      searches.fetch_add(1);
+    }
+  });
+  while (searches.load() == 0) std::this_thread::yield();
+  std::vector<Status> reloads;
+  for (int i = 0; i < 3; ++i) reloads.push_back((*remote)->Reload());
+  stop.store(true);
+  searcher.join();
+
+  for (const Status& reload : reloads) EXPECT_TRUE(reload.ok()) << reload.ToString();
+  EXPECT_EQ(failed, 0u);
+  EXPECT_EQ(differing, 0u);
 }
 
 // ----------------------------------------------------------------- tracing

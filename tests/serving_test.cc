@@ -2,20 +2,25 @@
 // round trips and damage handling, and — the core property — exact
 // scatter-gather: a ShardedEngine over N shards returns rankings
 // byte-identical to a single unsharded engine over the same lake,
-// including distance ties, for N in {1, 2, 3, 7} on randomized lakes.
+// including distance ties, for N in {1, 2, 3, 7} on randomized lakes. The
+// coordinator is also run over two subset engines without RPC, and must
+// fail cleanly on every kind of malformed endpoint reply.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchdata/synthetic_gen.h"
 #include "core/query.h"
 #include "eval/experiment.h"
 #include "io/binary_io.h"
+#include "serving/coordinator.h"
 #include "serving/manifest.h"
 #include "serving/shard_builder.h"
 #include "serving/sharded_engine.h"
@@ -292,6 +297,223 @@ TEST_F(ShardedParityTest, BatchedExecutionMatchesSequentialSearches) {
   ASSERT_TRUE(results[targets.size()].ok());
   ExpectIdenticalResults(*results[0], *results[targets.size()], "duplicate slot");
   EXPECT_TRUE(results.back().status().IsInvalidArgument());
+}
+
+// ------------------------------------------------------------ coordinator
+
+/// Wraps a real endpoint and lets a test corrupt its replies.
+class CorruptingEndpoint : public serving::ShardEndpoint {
+ public:
+  using CountsFn = std::function<Result<core::CandidateDepthCounts>(
+      core::CandidateDepthCounts)>;
+  using ScoreFn = std::function<Result<serving::ShardScore>(serving::ShardScore)>;
+
+  CorruptingEndpoint(const serving::ShardEndpoint* inner, CountsFn counts, ScoreFn score)
+      : inner_(inner), counts_(std::move(counts)), score_(std::move(score)) {}
+
+  std::string endpoint_name() const override {
+    return "corrupted " + inner_->endpoint_name();
+  }
+  Result<core::CandidateDepthCounts> CollectDepthCounts(
+      const core::QueryTarget& target,
+      const std::array<bool, core::kNumEvidence>& enabled_mask,
+      size_t m) const override {
+    D3L_ASSIGN_OR_RETURN(core::CandidateDepthCounts counts,
+                         inner_->CollectDepthCounts(target, enabled_mask, m));
+    return counts_ ? counts_(std::move(counts)) : counts;
+  }
+  Result<serving::ShardScore> ScoreAtStops(
+      const core::QueryTarget& target, const core::CandidateStopDepths& stops,
+      size_t m,
+      const std::array<bool, core::kNumEvidence>& enabled_mask) const override {
+    D3L_ASSIGN_OR_RETURN(serving::ShardScore score,
+                         inner_->ScoreAtStops(target, stops, m, enabled_mask));
+    return score_ ? score_(std::move(score)) : score;
+  }
+
+ private:
+  const serving::ShardEndpoint* inner_;
+  CountsFn counts_;
+  ScoreFn score_;
+};
+
+// Coordinate over two in-process subset engines, shards {0} and {1, 2} of a
+// 3-shard deployment: the multi-endpoint merge and row filter without RPC.
+class CoordinatorTest : public ServingTest {
+ protected:
+  void Deploy(const DataLake& lake, const std::string& name) {
+    num_tables_ = lake.size();
+    attr_table_.clear();
+    for (size_t t = 0; t < lake.size(); ++t) {
+      attr_table_.insert(attr_table_.end(), lake.table(t).num_columns(),
+                         static_cast<uint32_t>(t));
+    }
+    serving::ShardingOptions sharding;
+    sharding.num_shards = 3;
+    auto report = serving::BuildShards(lake, sharding, Base(name));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    subsets_.clear();
+    for (const std::vector<size_t>& shards : {std::vector<size_t>{0}, {1, 2}}) {
+      serving::ShardedEngineOptions open_options;
+      open_options.num_threads = 2;
+      open_options.serve_shards = shards;
+      auto engine = serving::ShardedEngine::Open(report->manifest_path, open_options);
+      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+      subsets_.push_back(std::move(*engine));
+    }
+  }
+
+  Result<core::SearchResult> Run(const std::vector<const serving::ShardEndpoint*>& endpoints,
+                                 const Table& target, size_t k) {
+    const core::D3LOptions& options = subsets_[0]->options();
+    D3L_ASSIGN_OR_RETURN(core::QueryTarget qt, subsets_[0]->Profile(target));
+    return serving::Coordinate(endpoints, &pool_, std::move(qt), k, options.enabled,
+                               options, attr_table_, num_tables_);
+  }
+
+  serving::ThreadPool pool_{2};
+  std::vector<std::unique_ptr<serving::ShardedEngine>> subsets_;
+  std::vector<uint32_t> attr_table_;
+  size_t num_tables_ = 0;
+};
+
+TEST_F(CoordinatorTest, TwoSubsetEndpointsMatchTheSingleEngineByteForByte) {
+  const DataLake tie_lake = MakeTieLake();
+  const DataLake random_lake = MakeSyntheticLake(4242);
+  std::vector<Table> random_targets;
+  for (uint32_t t : eval::SampleTargets(random_lake, 4, 5)) {
+    random_targets.push_back(random_lake.table(t));
+  }
+  const std::vector<std::pair<const DataLake*, std::vector<Table>>> cases = {
+      {&tie_lake, {testutil::FigureTarget(), tie_lake.table(1), tie_lake.table(4)}},
+      {&random_lake, random_targets}};
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const auto& [lake, targets] = cases[i];
+    core::D3LEngine single;
+    ASSERT_TRUE(single.IndexLake(*lake).ok());
+    Deploy(*lake, "parity" + std::to_string(i));
+    for (size_t k : {size_t{10}, size_t{100}}) {
+      for (const Table& target : targets) {
+        const std::string context =
+            "lake " + std::to_string(i) + " k=" + std::to_string(k) + " " + target.name();
+        auto expected = single.Search(target, k);
+        auto actual = Run({subsets_[0].get(), subsets_[1].get()}, target, k);
+        ASSERT_TRUE(expected.ok());
+        ASSERT_TRUE(actual.ok()) << context << ": " << actual.status().ToString();
+        ExpectIdenticalResults(*expected, *actual, context);
+        EXPECT_EQ(testutil::SearchResultBytes(*actual),
+                  testutil::SearchResultBytes(*expected))
+            << context;
+      }
+    }
+  }
+}
+
+TEST_F(CoordinatorTest, MalformedRepliesFailCleanlyAndNameTheEndpoint) {
+  const DataLake lake = MakeTieLake();
+  Deploy(lake, "malformed");
+  const Table target = testutil::FigureTarget();
+  using Counts = core::CandidateDepthCounts;
+  using Score = serving::ShardScore;
+  constexpr uint32_t kFarAttribute = 50000000;
+  const auto first_consulted = [](Counts& counts) -> std::vector<size_t>& {
+    for (auto& per_evidence : counts.counts) {
+      for (std::vector<size_t>& depths : per_evidence) {
+        if (!depths.empty()) return depths;
+      }
+    }
+    ADD_FAILURE() << "no index consulted";
+    return counts.counts[0][0];
+  };
+  struct Case {
+    std::string name;
+    CorruptingEndpoint::CountsFn counts;
+    CorruptingEndpoint::ScoreFn score;
+    std::string expect;  ///< substring of the error message
+  };
+  const std::vector<Case> cases = {
+      {"depth counts one column short",
+       [](Counts c) -> Result<Counts> {
+         c.counts.pop_back();
+         return c;
+       },
+       nullptr, "columns"},
+      {"depth counts one depth longer",
+       [&](Counts c) -> Result<Counts> {
+         first_consulted(c).push_back(1);
+         return c;
+       },
+       nullptr, "differ in length"},
+      {"candidate lists one column short", nullptr,
+       [](Score s) -> Result<Score> {
+         s.lists.ids.pop_back();
+         return s;
+       },
+       "columns"},
+      {"list and rows name attribute 50,000,000", nullptr,
+       [&](Score s) -> Result<Score> {
+         s.lists.ids[0][0].push_back(kFarAttribute);
+         core::PairDistances row;
+         row.attribute_id = kFarAttribute;
+         s.rows.push_back(row);
+         return s;
+       },
+       "out of range"},
+      {"row for an out-of-range column", nullptr,
+       [](Score s) -> Result<Score> {
+         core::PairDistances row;
+         row.target_column = 99;
+         s.rows.push_back(row);
+         return s;
+       },
+       "out of range"},
+      {"a selected candidate's row is missing", nullptr,
+       [](Score s) -> Result<Score> {
+         s.rows.pop_back();
+         return s;
+       },
+       "no row"},
+      {"a selected candidate's row is duplicated", nullptr,
+       [](Score s) -> Result<Score> {
+         s.rows.push_back(s.rows.front());
+         return s;
+       },
+       "second row"},
+  };
+
+  // Uncorrupted, the wrapper answers exactly.
+  {
+    const CorruptingEndpoint clean(subsets_[1].get(), nullptr, nullptr);
+    auto expected = Run({subsets_[0].get(), subsets_[1].get()}, target, 10);
+    auto actual = Run({subsets_[0].get(), &clean}, target, 10);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+    EXPECT_EQ(testutil::SearchResultBytes(*actual), testutil::SearchResultBytes(*expected));
+  }
+  for (const Case& c : cases) {
+    const CorruptingEndpoint bad(subsets_[1].get(), c.counts, c.score);
+    auto result = Run({subsets_[0].get(), &bad}, target, 10);
+    ASSERT_FALSE(result.ok()) << c.name;
+    EXPECT_TRUE(result.status().IsIOError()) << c.name << ": " << result.status().ToString();
+    EXPECT_NE(result.status().message().find("corrupted shards 1,2"), std::string::npos)
+        << c.name << ": " << result.status().ToString();
+    EXPECT_NE(result.status().message().find(c.expect), std::string::npos)
+        << c.name << ": " << result.status().ToString();
+  }
+
+  // An endpoint's own error passes through unchanged, in either phase.
+  const CorruptingEndpoint down_at_counts(
+      subsets_[1].get(),
+      [](Counts) -> Result<Counts> { return Status::Unavailable("server gone"); }, nullptr);
+  const CorruptingEndpoint down_at_score(
+      subsets_[1].get(), nullptr,
+      [](Score) -> Result<Score> { return Status::Unavailable("server gone"); });
+  for (const serving::ShardEndpoint* down : {&down_at_counts, &down_at_score}) {
+    auto result = Run({subsets_[0].get(), down}, target, 10);
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsUnavailable()) << result.status().ToString();
+    EXPECT_EQ(result.status().message(), "server gone");
+  }
 }
 
 // -------------------------------------------------------- manifest damage

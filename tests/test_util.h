@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "core/query.h"
+#include "io/binary_io.h"
 #include "table/lake.h"
 #include "table/table.h"
 
@@ -115,6 +117,19 @@ inline DataLake FigureLake(int fillers = 4) {
     lake.AddTable(Filler(i)).CheckOK();
   }
   return lake;
+}
+
+/// The SaveSearchResult bytes of a result: equal bytes mean the same
+/// ranking, distances, pairs, alignments and target profiles.
+inline std::string SearchResultBytes(const core::SearchResult& result) {
+  std::string bytes;
+  io::Writer w;
+  w.OpenBuffer(&bytes);
+  w.BeginSection(io::SectionId("SRES"));
+  core::SaveSearchResult(w, result);
+  w.EndSection().CheckOK();
+  w.Finish().CheckOK();
+  return bytes;
 }
 
 }  // namespace d3l::testutil
