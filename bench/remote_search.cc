@@ -11,6 +11,8 @@
 // server series share the process-default registry here, so one file holds
 // both sides of the wire) for the CI metrics-snapshot artifact.
 //
+// Every ms/query figure is timed over at least 20 queries (the sampled
+// targets, repeated in passes), so small scales do not time one query.
 // Shard sets are built into a temporary directory and removed afterwards.
 // Expected shape: remote ms/query tracks local sharded ms/query plus a
 // per-server wire cost (two round trips — depth counts, then scores — with
@@ -18,6 +20,7 @@
 // price of process isolation, not of extra index work.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -80,6 +83,13 @@ int main(int argc, char** argv) {
   auto target_ids = eval::SampleTargets(data.lake, eval::Scaled(20, scale), 31);
   std::vector<const Table*> targets;
   for (uint32_t t : target_ids) targets.push_back(&data.lake.table(t));
+  // Timed passes over the targets: at least kMinTimedQueries per figure.
+  constexpr size_t kMinTimedQueries = 20;
+  const size_t passes =
+      (kMinTimedQueries + targets.size() - 1) / std::max<size_t>(1, targets.size());
+  const double timed_queries = static_cast<double>(passes * targets.size());
+  printf("each row's ms/query is timed over %zu queries (%zu targets x %zu passes)\n\n",
+         passes * targets.size(), targets.size(), passes);
 
   namespace fs = std::filesystem;
   fs::path tmp = fs::temp_directory_path() /
@@ -150,13 +160,11 @@ int main(int argc, char** argv) {
     run(**local, &local_results);   // warm-up + reference
     run(**remote, &remote_results); // warm-up
     eval::Timer t_local;
-    run(**local, &local_results);
-    double local_ms =
-        t_local.Seconds() * 1000 / static_cast<double>(targets.size());
+    for (size_t p = 0; p < passes; ++p) run(**local, &local_results);
+    double local_ms = t_local.Seconds() * 1000 / timed_queries;
     eval::Timer t_remote;
-    run(**remote, &remote_results);
-    double remote_ms =
-        t_remote.Seconds() * 1000 / static_cast<double>(targets.size());
+    for (size_t p = 0; p < passes; ++p) run(**remote, &remote_results);
+    double remote_ms = t_remote.Seconds() * 1000 / timed_queries;
 
     bool exact = true;
     for (size_t i = 0; i < local_results.size(); ++i) {

@@ -1,27 +1,26 @@
 // Snapshot load-path cost: mapped (zero-copy) vs copied (full
 // deserialization) opens of the same engine snapshot, for the monolithic
 // engine and a sharded deployment — plus the exactness gate (a mapped
-// engine's rankings must be byte-identical to a copied one's) and a
-// speedup gate on the forest-deserialization phase, which is the part the
-// flat v2 layout removes. The CI bench-smoke run executes this at
-// --scale=0.05.
+// engine's rankings must be byte-identical to a copied one's), a speedup
+// gate on the forest-deserialization phase and a borrow gate on the banded
+// indexes. The CI bench-smoke run executes this at --scale=0.05.
 //
 //   $ ./build/snapshot_load [--scale=F] [--repeat=N] [--k=K]
 //                           [--metrics-out=PATH]
 //
 // Reported per mode: best-of-N open wall clock, the INDX section decode,
 // the forest-deserialization component of that decode, index heap
-// (D3LIndexes::MemoryUsage) and the process-resident delta after load + one
-// query. The speedup gate runs on the forest parse: that is the
-// full-deserialization work the flat v2 layout removes — a mapped load
-// fixes up pointers into the mapping instead of materializing every key/id
-// array, so its cost collapses from O(index bytes) to O(sections). It must
-// be at least 5x faster mapped than copied. The enclosing index parse and
-// end-to-end open are printed but not gated: both are dominated by work
-// that is mode-independent by design — the banded threshold indexes are
-// deliberately not stored (replayed from the saved signatures either way;
-// see D3LIndexes::Save) and first open pays the shared, options-keyed WEM
-// model build.
+// (D3LIndexes::MemoryUsage), the process-resident delta after load + one
+// query, and how many of the five banded indexes borrow the mapping. The
+// speedup gate runs on the forest parse: a mapped load fixes up pointers
+// into the mapping instead of materializing every key/id array, so its
+// cost collapses from O(index bytes) to O(sections). It must be at least
+// 5x faster mapped than copied. The banded threshold indexes are stored
+// as sorted arrays since format v3 and load the same way: the borrow gate
+// requires a mapped load to borrow all five and a copied load to own all
+// five (a boolean check, not a timing). The enclosing index parse and
+// end-to-end open are printed but not gated: the section CRCs, registry
+// and signature decode cost the same under either mode.
 #include <unistd.h>
 
 #include <cstring>
@@ -69,6 +68,7 @@ struct LoadMeasurement {
   size_t index_heap_bytes = 0;      ///< D3LIndexes::MemoryUsage of one load
   size_t rss_delta_bytes = 0;       ///< resident growth across load + 1 query
   bool mapped = false;              ///< did zero-copy actually engage
+  size_t banded_borrowed = 0;       ///< banded indexes borrowing the mapping (of 5)
 };
 
 const char* ModeName(core::SnapshotLoadMode mode) {
@@ -158,6 +158,7 @@ int main(int argc, char** argv) {
       m.forest_parse_seconds =
           std::min(m.forest_parse_seconds, ls.forest_parse_seconds);
       m.mapped = ls.mapped;
+      m.banded_borrowed = (*loaded)->indexes().banded_borrowing_mapping();
       m.index_heap_bytes = (*loaded)->indexes().MemoryUsage();
       // Exactness: every target's ranking must match the built engine's.
       for (size_t i = 0; i < targets.size(); ++i) {
@@ -172,7 +173,7 @@ int main(int argc, char** argv) {
 
   eval::TablePrinter out({"mode", "open (ms)", "index parse (ms)",
                           "forest parse (us)", "index heap (MB)",
-                          "rss delta (MB)", "zero-copy"});
+                          "rss delta (MB)", "zero-copy", "banded borrowed"});
   for (int mi = 0; mi < 2; ++mi) {
     const LoadMeasurement& m = measured[mi];
     out.AddRow({ModeName(kModes[mi]),
@@ -181,7 +182,7 @@ int main(int argc, char** argv) {
                 eval::TablePrinter::Num(m.forest_parse_seconds * 1e6),
                 eval::TablePrinter::Num(static_cast<double>(m.index_heap_bytes) / 1e6),
                 eval::TablePrinter::Num(static_cast<double>(m.rss_delta_bytes) / 1e6),
-                m.mapped ? "yes" : "no"});
+                m.mapped ? "yes" : "no", std::to_string(m.banded_borrowed) + "/5"});
   }
   out.Print();
 
@@ -191,6 +192,10 @@ int main(int argc, char** argv) {
           : 1e9;
   printf("\nforest deserialization speedup (copied / mapped): %.1fx\n",
          parse_speedup);
+  const bool borrow_ok = measured[1].banded_borrowed == 5 && measured[0].banded_borrowed == 0;
+  printf("banded borrow gate: %s\n",
+         borrow_ok ? "pass (mapped load borrows all five, copied load owns them)"
+                   : "FAIL (banded arrays not served as expected)");
   printf("exactness gate: %s\n",
          all_exact ? "pass (mapped and copied rankings byte-identical)"
                    : "FAIL (rankings diverged)");
@@ -232,11 +237,11 @@ int main(int argc, char** argv) {
   printf(
       "\nShape to check: the mapped forest deserialization collapses to\n"
       "pointer fixups (>= 5x under the copied full decode; gated), zero-copy\n"
-      "engages (forest arrays borrowed, index heap drops), and both load\n"
-      "modes — engine and sharded — rank byte-identically to the freshly\n"
-      "built engine. Index parse and open are reported unmodified: they are\n"
-      "dominated by the banded replay and WEM build, which cost the same\n"
-      "under either mode by design.\n");
+      "engages (forest and banded arrays borrowed, index heap drops; the\n"
+      "banded borrow is gated), and both load modes — engine and sharded —\n"
+      "rank byte-identically to the freshly built engine. Index parse and\n"
+      "open are reported, not gated: the section CRCs and the registry and\n"
+      "signature decode cost the same under either mode.\n");
 
   if (!metrics_out.empty()) {
     obs::MetricRegistry registry;
@@ -259,6 +264,8 @@ int main(int argc, char** argv) {
           static_cast<int64_t>(measured[mi].index_heap_bytes));
       add("d3l_snapshot_sharded_open_us", labels,
           static_cast<int64_t>(sharded_open_ms[mi] * 1000));
+      add("d3l_snapshot_load_banded_borrowed", labels,
+          static_cast<int64_t>(measured[mi].banded_borrowed));
     }
     add("d3l_snapshot_load_exact", {}, all_exact && sharded_exact ? 1 : 0);
     const Status written = bench::WriteTextFile(metrics_out, registry.ExportText());
@@ -276,6 +283,13 @@ int main(int argc, char** argv) {
   }
   if (!measured[1].mapped) {
     fprintf(stderr, "FAIL: zero-copy did not engage on the mapped load\n");
+    return 1;
+  }
+  if (!borrow_ok) {
+    fprintf(stderr,
+            "FAIL: banded indexes borrowed %zu/5 mapped and %zu/5 copied "
+            "(gate: 5 and 0)\n",
+            measured[1].banded_borrowed, measured[0].banded_borrowed);
     return 1;
   }
   if (parse_speedup < 5.0) {

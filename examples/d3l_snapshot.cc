@@ -60,8 +60,9 @@
 //       Prints container metadata (format version, section table with
 //       offsets, sizes and checksum state) plus, for engine snapshots, the
 //       table/attribute counts, key options, whether the format is
-//       mappable (v2 aligned arrays) and a trial mapped load's stats
-//       (zero-copy engaged?, alignment-padding bytes, open/parse time),
+//       mappable (aligned arrays, v2 on) and a trial mapped load's stats
+//       (zero-copy engaged?, banded indexes borrowed, alignment-padding
+//       bytes, open/parse time),
 //       and for shard manifests, the per-shard layout. With a CSV
 //       directory, each shard is additionally checked for staleness
 //       against the current files (by recorded size/CRC32 only — nothing
@@ -447,7 +448,7 @@ int RunInfo(const std::string& path, const std::string& csv_dir) {
                 info->num_attributes);
     std::printf("mappable: %s\n",
                 info->mappable
-                    ? "yes (v2 aligned index arrays; loads are zero-copy)"
+                    ? "yes (aligned index arrays; loads are zero-copy)"
                     : "no (v1 per-entry layout; loads deserialize)");
     {
       // Trial mapped load: reports whether zero-copy actually engages on
@@ -458,9 +459,11 @@ int RunInfo(const std::string& path, const std::string& csv_dir) {
                                                  core::SnapshotLoadMode::kMapped);
       if (trial.ok()) {
         const core::SnapshotLoadStats& ls = (*trial)->load_stats();
-        std::printf("trial load: %s, %llu alignment-padding bytes, "
-                    "%.3fs open (%.3fs index parse, %.6fs forest parse)\n",
+        std::printf("trial load: %s, %zu/5 banded indexes borrowed, %llu "
+                    "alignment-padding bytes, %.3fs open (%.3fs index parse, "
+                    "%.6fs forest parse)\n",
                     ls.mapped ? "mapped (zero-copy)" : "buffered fallback",
+                    (*trial)->indexes().banded_borrowing_mapping(),
                     static_cast<unsigned long long>(ls.pad_bytes),
                     ls.open_seconds, ls.index_parse_seconds,
                     ls.forest_parse_seconds);

@@ -33,7 +33,7 @@ double ComputeDistributionDistance(const D3LIndexes& indexes,
                                    const AttributeSignatures& target_sigs,
                                    uint32_t candidate_id,
                                    const DistributionGuardContext& guard) {
-  const AttributeProfile& cand = indexes.profile(candidate_id);
+  const IndexedAttribute& cand = indexes.profile(candidate_id);
   if (!target_profile.is_numeric || !cand.is_numeric) return 1.0;
   if (target_profile.numeric_sample.empty() || cand.numeric_sample.empty()) return 1.0;
 
@@ -75,7 +75,7 @@ double ComputeDistributionDistanceFast(const D3LIndexes& indexes,
                                        uint32_t candidate_id,
                                        const PrecomputedGuards& guards,
                                        uint32_t source_subject_id) {
-  const AttributeProfile& cand = indexes.profile(candidate_id);
+  const IndexedAttribute& cand = indexes.profile(candidate_id);
   if (!target_profile.is_numeric || !cand.is_numeric) return 1.0;
   if (target_profile.numeric_sample.empty() || cand.numeric_sample.empty()) return 1.0;
 

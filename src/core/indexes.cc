@@ -73,26 +73,66 @@ AttributeSignatures D3LIndexes::Sign(const AttributeProfile& profile) const {
   return s;
 }
 
+IndexedAttribute IndexedAttribute::From(AttributeProfile profile) {
+  IndexedAttribute a;
+  a.ref = profile.ref;
+  a.column_name = std::move(profile.column_name);
+  a.is_numeric = profile.is_numeric;
+  a.tset_size = profile.tset.size();
+  a.numeric_sample = std::move(profile.numeric_sample);
+  return a;
+}
+
+size_t IndexedAttribute::MemoryUsage() const {
+  return sizeof(IndexedAttribute) + column_name.capacity() +
+         numeric_sample.capacity() * sizeof(double);
+}
+
+void IndexedAttribute::Save(io::Writer& w) const {
+  w.WriteU32(ref.table);
+  w.WriteU32(ref.column);
+  w.WriteString(column_name);
+  w.WriteBool(is_numeric);
+  w.WriteU64(tset_size);
+  w.WriteDoubleVector(numeric_sample);
+}
+
+IndexedAttribute IndexedAttribute::Load(io::Reader& r) {
+  IndexedAttribute a;
+  a.ref.table = r.ReadU32();
+  a.ref.column = r.ReadU32();
+  a.column_name = r.ReadString();
+  a.is_numeric = r.ReadBool();
+  a.tset_size = r.ReadU64();
+  a.numeric_sample = r.ReadDoubleVector();
+  return a;
+}
+
+void D3LIndexes::InsertBanded(uint32_t id, const AttributeSignatures& s) {
+  name_banded_.Insert(id, s.name_sig);
+  format_banded_.Insert(id, s.format_sig);
+  if (s.has_value) {
+    value_banded_.Insert(id, s.value_sig);
+    value_join_banded_.Insert(id, s.value_sig);
+  }
+  if (s.has_embedding) {
+    emb_banded_.Insert(id, rp_hasher_.SignatureAsHashSequence(s.emb_sig));
+  }
+}
+
 uint32_t D3LIndexes::Insert(AttributeProfile profile) {
   const uint32_t id = static_cast<uint32_t>(profiles_.size());
   AttributeSignatures s = Sign(profile);
 
   // Algorithm 1, lines 15-18: insert set representations into the indexes.
   name_forest_.Insert(id, s.name_sig);
-  name_banded_.Insert(id, s.name_sig);
   format_forest_.Insert(id, s.format_sig);
-  format_banded_.Insert(id, s.format_sig);
-  if (s.has_value) {
-    value_forest_.Insert(id, s.value_sig);
-    value_banded_.Insert(id, s.value_sig);
-    value_join_banded_.Insert(id, s.value_sig);
-  }
+  if (s.has_value) value_forest_.Insert(id, s.value_sig);
   if (s.has_embedding) {
-    Signature seq = rp_hasher_.SignatureAsHashSequence(s.emb_sig);
-    emb_forest_.Insert(id, seq);
-    emb_banded_.Insert(id, seq);
+    emb_forest_.Insert(id, rp_hasher_.SignatureAsHashSequence(s.emb_sig));
   }
-  profiles_.push_back(std::move(profile));
+  InsertBanded(id, s);
+  profiles_.push_back(IndexedAttribute::From(std::move(profile)));
   sigs_.push_back(std::move(s));
   return id;
 }
@@ -102,6 +142,7 @@ void D3LIndexes::Finalize() {
   value_forest_.Index();
   format_forest_.Index();
   emb_forest_.Index();
+  for (BandedLsh* b : banded()) b->Index();
 }
 
 std::vector<uint32_t> D3LIndexes::Lookup(Evidence e, const AttributeSignatures& query,
@@ -275,9 +316,10 @@ void D3LIndexes::Save(io::Writer& w) const {
   value_forest_.Save(w);
   format_forest_.Save(w);
   emb_forest_.Save(w);
+  for (const BandedLsh* b : banded()) b->Save(w);
 }
 
-Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, ForestWireFormat forest_format) {
+Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, IndexWireFormat format) {
   IndexOptions o;
   o.minhash_size = r.ReadU64();
   o.lsh_threshold = r.ReadDouble();
@@ -302,15 +344,19 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, ForestWireFormat forest_forma
   }
 
   D3LIndexes idx(o);
+  const bool legacy = format != IndexWireFormat::kV3;
   size_t n = r.ReadLength(1);
   idx.profiles_.reserve(n);
   idx.sigs_.reserve(n);
+  size_t n_value = 0;
+  size_t n_embedding = 0;
   for (size_t i = 0; i < n; ++i) {
-    AttributeProfile profile = AttributeProfile::Load(r);
+    IndexedAttribute attr = legacy ? IndexedAttribute::From(AttributeProfile::Load(r))
+                                   : IndexedAttribute::Load(r);
     AttributeSignatures s = AttributeSignatures::Load(r);
     D3L_RETURN_NOT_OK(r.status());
     // Scoring runs KS over the stored samples without re-sorting them.
-    if (!IsKsSample(profile.numeric_sample)) {
+    if (!IsKsSample(attr.numeric_sample)) {
       return Status::IOError("corrupt file: numeric sample is not ascending and NaN-free");
     }
     if (s.name_sig.size() != o.minhash_size || s.format_sig.size() != o.minhash_size ||
@@ -320,25 +366,19 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, ForestWireFormat forest_forma
           s.emb_sig.words.size() != (s.emb_sig.bits + 63) / 64))) {
       return Status::IOError("corrupt file: signature sizes contradict index options");
     }
-    // Replay the banded-index half of Insert() from the saved signatures
-    // (ids were assigned densely in insertion order, so the rebuilt buckets
-    // are identical to the originals).
-    const auto id = static_cast<uint32_t>(i);
-    idx.name_banded_.Insert(id, s.name_sig);
-    idx.format_banded_.Insert(id, s.format_sig);
-    if (s.has_value) {
-      idx.value_banded_.Insert(id, s.value_sig);
-      idx.value_join_banded_.Insert(id, s.value_sig);
-    }
-    if (s.has_embedding) {
-      Signature seq = idx.rp_hasher_.SignatureAsHashSequence(s.emb_sig);
-      idx.emb_banded_.Insert(id, seq);
-    }
-    idx.profiles_.push_back(std::move(profile));
+    // Files before v3 carry no banded indexes: rebuild them as a build
+    // does (ids were assigned densely in insertion order).
+    if (legacy) idx.InsertBanded(static_cast<uint32_t>(i), s);
+    n_value += s.has_value ? 1 : 0;
+    n_embedding += s.has_embedding ? 1 : 0;
+    idx.profiles_.push_back(std::move(attr));
     idx.sigs_.push_back(std::move(s));
   }
 
   const auto t_forests = std::chrono::steady_clock::now();
+  const ForestWireFormat forest_format = format == IndexWireFormat::kV1
+                                             ? ForestWireFormat::kPerEntry
+                                             : ForestWireFormat::kFlat;
   idx.name_forest_ = LshForest::Load(r, forest_format);
   idx.value_forest_ = LshForest::Load(r, forest_format);
   idx.format_forest_ = LshForest::Load(r, forest_format);
@@ -366,6 +406,27 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, ForestWireFormat forest_forma
       idx.emb_forest_.options() != EmbForestOptionsFrom(o)) {
     return Status::IOError("corrupt file: forest key shapes disagree with index options");
   }
+
+  if (legacy) {
+    for (BandedLsh* b : idx.banded()) b->Index();
+    return idx;
+  }
+  // The loaded indexes take their shapes from the options and their id
+  // bound from the registry size; BandedLsh::Load checks both, and that
+  // every band is sorted.
+  idx.name_banded_ = BandedLsh::Load(r, BandedOptionsFrom(o), n);
+  idx.value_banded_ = BandedLsh::Load(r, BandedOptionsFrom(o), n);
+  idx.format_banded_ = BandedLsh::Load(r, BandedOptionsFrom(o), n);
+  idx.emb_banded_ = BandedLsh::Load(r, BandedOptionsForBits(o), n);
+  idx.value_join_banded_ = BandedLsh::Load(r, JoinBandedOptionsFrom(o), n);
+  D3L_RETURN_NOT_OK(r.status());
+  // One entry per band for every attribute carrying the evidence.
+  if (idx.name_banded_.size() != n || idx.format_banded_.size() != n ||
+      idx.value_banded_.size() != n_value || idx.value_join_banded_.size() != n_value ||
+      idx.emb_banded_.size() != n_embedding) {
+    return Status::IOError(
+        "corrupt file: banded index entry counts disagree with the registry");
+  }
   return idx;
 }
 
@@ -373,16 +434,20 @@ size_t D3LIndexes::MemoryUsage() const {
   size_t bytes = sizeof(D3LIndexes);
   bytes += name_forest_.MemoryUsage() + value_forest_.MemoryUsage() +
            format_forest_.MemoryUsage() + emb_forest_.MemoryUsage();
-  bytes += name_banded_.MemoryUsage() + value_banded_.MemoryUsage() +
-           format_banded_.MemoryUsage() + emb_banded_.MemoryUsage() +
-           value_join_banded_.MemoryUsage();
-  for (const AttributeProfile& p : profiles_) bytes += p.MemoryUsage();
+  for (const BandedLsh* b : banded()) bytes += b->MemoryUsage();
+  for (const IndexedAttribute& p : profiles_) bytes += p.MemoryUsage();
   for (const AttributeSignatures& s : sigs_) {
     bytes += (s.name_sig.capacity() + s.value_sig.capacity() + s.format_sig.capacity()) *
              sizeof(uint64_t);
     bytes += s.emb_sig.words.capacity() * sizeof(uint64_t);
   }
   return bytes;
+}
+
+size_t D3LIndexes::banded_borrowing_mapping() const {
+  size_t n = 0;
+  for (const BandedLsh* b : banded()) n += b->borrows_mapping() ? 1 : 0;
+  return n;
 }
 
 }  // namespace d3l::core

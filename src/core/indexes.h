@@ -8,7 +8,9 @@
 // without touching raw extents.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -56,6 +58,36 @@ struct AttributeSignatures {
   static AttributeSignatures Load(io::Reader& r);
 };
 
+/// \brief What the registry keeps of an indexed attribute once its
+/// signatures are computed: the fields lookups, scoring, the join graph and
+/// callers read. The q/t/r sets and the embedding survive only as
+/// signatures (a query target keeps its full AttributeProfile).
+struct IndexedAttribute {
+  AttributeRef ref;
+  std::string column_name;
+  bool is_numeric = false;
+  size_t tset_size = 0;  ///< |tset|, for SaJoinGraph's overlap bound
+  std::vector<double> numeric_sample;  ///< ascending, NaN-free (evidence D)
+
+  /// The registry record of a full profile.
+  static IndexedAttribute From(AttributeProfile profile);
+
+  /// Approximate heap footprint (space-overhead accounting).
+  size_t MemoryUsage() const;
+
+  void Save(io::Writer& w) const;
+  /// Deserializes a record written by Save(); check the reader's status().
+  static IndexedAttribute Load(io::Reader& r);
+};
+
+/// \brief On-disk layout of serialized D3LIndexes; the engine snapshot
+/// version determines which one a file contains.
+enum class IndexWireFormat {
+  kV1,  ///< full profiles, per-entry forests, banded indexes not stored
+  kV2,  ///< full profiles, flat forests, banded indexes not stored
+  kV3,  ///< registry records, flat forests, sorted banded arrays
+};
+
 /// \brief Attribute registry + IN/IV/IF/IE. Insertion is Algorithm 1.
 class D3LIndexes {
  public:
@@ -64,14 +96,16 @@ class D3LIndexes {
   const IndexOptions& options() const { return options_; }
 
   /// Registers an attribute: computes signatures and inserts them into the
-  /// four indexes (Algorithm 1 lines 15-18). Returns the attribute id.
+  /// four indexes (Algorithm 1 lines 15-18), keeping the profile's
+  /// IndexedAttribute record. Returns the attribute id.
   uint32_t Insert(AttributeProfile profile);
 
-  /// Sorts the forests; must be called after the last Insert.
+  /// Sorts the forests and banded indexes; must be called after the last
+  /// Insert.
   void Finalize();
 
   size_t num_attributes() const { return profiles_.size(); }
-  const AttributeProfile& profile(uint32_t id) const { return profiles_[id]; }
+  const IndexedAttribute& profile(uint32_t id) const { return profiles_[id]; }
   const AttributeSignatures& signatures(uint32_t id) const { return sigs_[id]; }
 
   /// Computes query signatures for a non-inserted profile (target attrs).
@@ -122,29 +156,30 @@ class D3LIndexes {
 
   size_t MemoryUsage() const;
 
+  /// How many of the five banded indexes borrow their arrays from a
+  /// snapshot mapping (a mapped v3 load borrows all five).
+  size_t banded_borrowing_mapping() const;
+
   /// Wall time the last Load() spent deserializing the four forests — the
   /// array-materialization component that a mapped kFlat reader collapses
-  /// to pointer fixups. Zero for indexes built in process. The banded
-  /// replay and profile/signature decode are deliberately excluded: they
-  /// cost the same under either load mode.
+  /// to pointer fixups. Zero for indexes built in process.
   double forest_parse_seconds() const { return forest_parse_seconds_; }
 
-  /// Serializes options, profiles, signatures and the four LSH forests into
-  /// the writer's current section. The banded threshold indexes are not
-  /// written: Load() rebuilds them deterministically from the saved
-  /// signatures (band hashing is orders of magnitude cheaper than the
-  /// profiling + MinHash work the snapshot exists to avoid).
+  /// Serializes options, registry records, signatures, the four LSH
+  /// forests and the five banded indexes (IndexWireFormat::kV3) into the
+  /// writer's current section. Finalize() must have run.
   void Save(io::Writer& w) const;
 
-  /// Deserializes indexes written by Save(). `forest_format` names the
-  /// layout the embedded forests were written in (the engine snapshot
-  /// version determines it; current snapshots are kFlat, v1 snapshots
-  /// kPerEntry). Under a mapped reader the kFlat forests borrow the mapping
-  /// instead of copying their arrays. Fails with a non-OK Status on
-  /// truncated payloads, structural inconsistencies (e.g. signature sizes
-  /// that contradict the saved options) or reader errors.
-  static Result<D3LIndexes> Load(
-      io::Reader& r, ForestWireFormat forest_format = ForestWireFormat::kFlat);
+  /// Deserializes indexes written in `format`. A kV3 load under a mapped
+  /// reader borrows the forest and banded arrays from the mapping instead
+  /// of copying them. kV1/kV2 files carry full profiles, which are slimmed
+  /// to registry records, and no banded indexes, which are rebuilt from
+  /// the signatures by Insert + Index() as in a build. Fails with a non-OK
+  /// Status on truncated payloads, structural inconsistencies (e.g.
+  /// signature sizes or band shapes that contradict the saved options,
+  /// unsorted bands, ids outside the registry) or reader errors.
+  static Result<D3LIndexes> Load(io::Reader& r,
+                                 IndexWireFormat format = IndexWireFormat::kV3);
 
  private:
   IndexOptions options_;
@@ -164,7 +199,19 @@ class D3LIndexes {
   BandedLsh emb_banded_;
   BandedLsh value_join_banded_;  ///< IV at join_threshold (Section IV)
 
-  std::vector<AttributeProfile> profiles_;
+  /// The banded indexes in Save/Load order.
+  std::array<BandedLsh*, 5> banded() {
+    return {&name_banded_, &value_banded_, &format_banded_, &emb_banded_,
+            &value_join_banded_};
+  }
+  std::array<const BandedLsh*, 5> banded() const {
+    return {&name_banded_, &value_banded_, &format_banded_, &emb_banded_,
+            &value_join_banded_};
+  }
+  /// Inserts one attribute's signatures into the banded indexes.
+  void InsertBanded(uint32_t id, const AttributeSignatures& s);
+
+  std::vector<IndexedAttribute> profiles_;
   std::vector<AttributeSignatures> sigs_;
 
   double forest_parse_seconds_ = 0;  ///< see forest_parse_seconds()

@@ -45,16 +45,16 @@ SaJoinGraph SaJoinGraph::Build(const D3LEngine& engine, double min_overlap) {
     if (said == UINT32_MAX) continue;
     const AttributeSignatures& ssigs = indexes.signatures(said);
     if (!ssigs.has_value) continue;
-    const AttributeProfile& sprof = indexes.profile(said);
+    const IndexedAttribute& sprof = indexes.profile(said);
 
     for (uint32_t cand : indexes.LookupValueJoin(ssigs)) {
-      const AttributeProfile& cprof = indexes.profile(cand);
+      const IndexedAttribute& cprof = indexes.profile(cand);
       if (cprof.ref.table == ti) continue;
       uint64_t key = EdgeKey(ti, sprof.ref.column, cprof.ref.table, cprof.ref.column);
       if (!seen_edges.insert(key).second) continue;
 
       double jac = EstimateJaccard(ssigs.value_sig, indexes.signatures(cand).value_sig);
-      double ov = OverlapFromJaccard(jac, sprof.tset.size(), cprof.tset.size());
+      double ov = OverlapFromJaccard(jac, sprof.tset_size, cprof.tset_size);
       if (ov < min_overlap) continue;  // containment too weak to postulate a join
 
       JoinEdge e{ti, sprof.ref.column, cprof.ref.table, cprof.ref.column, ov};

@@ -90,12 +90,12 @@ struct SnapshotLoadStats {
   bool mapped = false;          ///< the file was served from an mmap
   uint64_t pad_bytes = 0;       ///< alignment padding skipped while reading
   double open_seconds = 0;      ///< whole LoadSnapshot wall time
-  /// Wall time decoding the INDX section: signature/profile decode, the
-  /// banded-index replay (mode-independent by design — see
-  /// D3LIndexes::Save) and the forest deserialization.
+  /// Wall time decoding the INDX section: registry and signature decode,
+  /// the forests and the banded indexes (read and checked in v3, rebuilt
+  /// from the signatures for v1 and v2 files).
   double index_parse_seconds = 0;
   /// Wall time of the forest deserialization alone — the full-array
-  /// materialization that a mapped v2 load collapses to pointer fixups.
+  /// materialization that a mapped load collapses to pointer fixups.
   /// This is the component `bench/snapshot_load` gates mapped-vs-copied.
   double forest_parse_seconds = 0;
 };
@@ -345,9 +345,11 @@ class D3LEngine {
 
   /// Magic bytes and format-version range of engine snapshot files.
   /// v1: per-entry forest encoding. v2: flat aligned forest arrays
-  /// (mappable). Readers accept [kSnapshotMinReadVersion, kSnapshotVersion].
+  /// (mappable). v3: registry records without the q/t/r sets, plus the
+  /// banded indexes as sorted aligned arrays (see IndexWireFormat).
+  /// Readers accept [kSnapshotMinReadVersion, kSnapshotVersion].
   static constexpr char kSnapshotMagic[9] = "D3LSNAP\n";
-  static constexpr uint32_t kSnapshotVersion = 2;
+  static constexpr uint32_t kSnapshotVersion = 3;
   static constexpr uint32_t kSnapshotMinReadVersion = 1;
 
   /// Lightweight snapshot metadata (the `d3l_snapshot info` view).

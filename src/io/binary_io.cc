@@ -6,30 +6,41 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <type_traits>
 #include <utility>
 
 namespace d3l::io {
 
 namespace {
 
-/// Lazily built table for the reflected CRC-32 (polynomial 0xEDB88320).
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+/// Slice-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320).
+/// Row 0 is the classic bytewise table; row k advances row k - 1 by one
+/// more zero byte, so eight rows fold eight input bytes per step.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+const Crc32Tables& Crc32Table() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < t.size(); ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 void AppendLittleEndian(std::string* out, uint64_t v, size_t bytes) {
@@ -47,14 +58,45 @@ Status WriteAll(std::FILE* f, const void* data, size_t len, const char* what) {
 
 constexpr bool kHostLittleEndian = std::endian::native == std::endian::little;
 
+/// The little-endian unsigned integer stored at `p` (any alignment).
+template <typename Word>
+Word LoadLittleEndian(const unsigned char* p) {
+  Word v = 0;
+  for (size_t b = 0; b < sizeof(Word); ++b) v |= static_cast<Word>(p[b]) << (8 * b);
+  return v;
+}
+
+/// Decodes `n` little-endian values of T (4 or 8 bytes wide) from `src`
+/// into `dst`: one memcpy on little-endian hosts.
+template <typename T>
+void DecodeArray(const char* src, size_t n, T* dst) {
+  if constexpr (kHostLittleEndian) {
+    // An empty vector's data() may be null, which memcpy must never get.
+    if (n > 0) std::memcpy(dst, src, n * sizeof(T));
+  } else {
+    using Word = std::conditional_t<sizeof(T) == 8, uint64_t, uint32_t>;
+    const auto* p = reinterpret_cast<const unsigned char*>(src);
+    for (size_t i = 0; i < n; ++i) {
+      dst[i] = std::bit_cast<T>(LoadLittleEndian<Word>(p + i * sizeof(T)));
+    }
+  }
+}
+
 }  // namespace
 
 void Crc32Accumulator::Update(const void* data, size_t len) {
-  const uint32_t* table = Crc32Table();
+  const Crc32Tables& t = Crc32Table();
   const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    state_ = table[(state_ ^ p[i]) & 0xff] ^ (state_ >> 8);
+  uint32_t c = state_;
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = c ^ LoadLittleEndian<uint32_t>(p);
+    const uint32_t hi = LoadLittleEndian<uint32_t>(p + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+        t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
   }
+  for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
+  state_ = c;
 }
 
 uint32_t Crc32(const void* data, size_t len) {
@@ -116,8 +158,7 @@ Result<FileInfo> InspectFile(const std::string& path) {
   if (std::fread(vb, 1, 4, f) != 4) {
     return Status::IOError(path + ": truncated header");
   }
-  info.version = static_cast<uint32_t>(vb[0]) | static_cast<uint32_t>(vb[1]) << 8 |
-                 static_cast<uint32_t>(vb[2]) << 16 | static_cast<uint32_t>(vb[3]) << 24;
+  info.version = LoadLittleEndian<uint32_t>(vb);
   info.file_bytes = 12;
 
   for (;;) {
@@ -128,12 +169,8 @@ Result<FileInfo> InspectFile(const std::string& path) {
       return Status::IOError(path + ": truncated section header");
     }
     SectionInfo section;
-    section.id = static_cast<uint32_t>(header[0]) | static_cast<uint32_t>(header[1]) << 8 |
-                 static_cast<uint32_t>(header[2]) << 16 |
-                 static_cast<uint32_t>(header[3]) << 24;
-    for (size_t i = 0; i < 8; ++i) {
-      section.payload_bytes |= static_cast<uint64_t>(header[4 + i]) << (8 * i);
-    }
+    section.id = LoadLittleEndian<uint32_t>(header);
+    section.payload_bytes = LoadLittleEndian<uint64_t>(header + 4);
     section.payload_offset = info.file_bytes + 12;
     // Stream the payload through the CRC in bounded chunks so inspection
     // never allocates proportionally to section size.
@@ -153,9 +190,7 @@ Result<FileInfo> InspectFile(const std::string& path) {
     if (std::fread(cb, 1, 4, f) != 4) {
       return Status::IOError(path + ": missing section checksum");
     }
-    uint32_t file_crc = static_cast<uint32_t>(cb[0]) | static_cast<uint32_t>(cb[1]) << 8 |
-                        static_cast<uint32_t>(cb[2]) << 16 |
-                        static_cast<uint32_t>(cb[3]) << 24;
+    const uint32_t file_crc = LoadLittleEndian<uint32_t>(cb);
     section.crc_ok = (file_crc == crc);
     info.file_bytes += 12 + section.payload_bytes + 4;
     info.sections.push_back(section);
@@ -198,10 +233,7 @@ Result<std::pair<uint64_t, uint32_t>> FileIdentity(const std::string& path) {
     }
     digest.Update(header, sizeof(header));
     pos += sizeof(header);
-    uint64_t payload = 0;
-    for (size_t i = 0; i < 8; ++i) {
-      payload |= static_cast<uint64_t>(header[4 + i]) << (8 * i);
-    }
+    const uint64_t payload = LoadLittleEndian<uint64_t>(header + 4);
     if (payload > file_size - pos || file_size - pos - payload < 4) {
       return Status::IOError(path + ": section payload cut short");
     }
@@ -455,6 +487,13 @@ Status Reader::Open(const std::string& path, const char (&magic)[9], uint32_t mi
     if (file_ == nullptr) {
       return Status::NotFound("cannot open " + path);
     }
+    // Section lengths are untrusted: OpenSection bounds each one by the
+    // bytes left in the file before allocating for it.
+    struct stat st{};
+    if (::fstat(::fileno(file_), &st) != 0 || st.st_size < 0) {
+      return Status::IOError("cannot stat " + path);
+    }
+    file_size_ = static_cast<uint64_t>(st.st_size);
   }
   char got[8];
   if (!ReadFrame(got, 8) || std::memcmp(got, magic, 8) != 0) {
@@ -465,9 +504,7 @@ Status Reader::Open(const std::string& path, const char (&magic)[9], uint32_t mi
   if (!ReadFrame(vb, 4)) {
     return Status::IOError(path + ": truncated header");
   }
-  uint32_t got_version = static_cast<uint32_t>(vb[0]) | static_cast<uint32_t>(vb[1]) << 8 |
-                         static_cast<uint32_t>(vb[2]) << 16 |
-                         static_cast<uint32_t>(vb[3]) << 24;
+  const uint32_t got_version = LoadLittleEndian<uint32_t>(vb);
   if (got_version < min_version || got_version > max_version) {
     std::string want = "v";
     want += std::to_string(min_version);
@@ -503,14 +540,8 @@ Status Reader::OpenSection(uint32_t id) {
   if (!ReadFrame(header, sizeof(header))) {
     return Status::IOError("truncated file: missing section header");
   }
-  uint32_t got_id = static_cast<uint32_t>(header[0]) |
-                    static_cast<uint32_t>(header[1]) << 8 |
-                    static_cast<uint32_t>(header[2]) << 16 |
-                    static_cast<uint32_t>(header[3]) << 24;
-  uint64_t size = 0;
-  for (size_t i = 0; i < 8; ++i) {
-    size |= static_cast<uint64_t>(header[4 + i]) << (8 * i);
-  }
+  const uint32_t got_id = LoadLittleEndian<uint32_t>(header);
+  const uint64_t size = LoadLittleEndian<uint64_t>(header + 4);
   if (got_id != id) {
     char want[5] = {static_cast<char>(id), static_cast<char>(id >> 8),
                     static_cast<char>(id >> 16), static_cast<char>(id >> 24), 0};
@@ -532,6 +563,9 @@ Status Reader::OpenSection(uint32_t id) {
     sec_size_ = static_cast<size_t>(size);
     frame_cursor_ += sec_size_;
   } else {
+    if (size > file_size_ - std::min(file_size_, payload_offset_)) {
+      return Status::IOError("truncated file: section payload cut short");
+    }
     section_.resize(size);
     if (size > 0 && !ReadFrame(section_.data(), size)) {
       return Status::IOError("truncated file: section payload cut short");
@@ -545,9 +579,7 @@ Status Reader::OpenSection(uint32_t id) {
     return Status::IOError("truncated file: missing section checksum");
   }
   stream_offset_ += 12 + size + 4;
-  uint32_t got_crc = static_cast<uint32_t>(cb[0]) | static_cast<uint32_t>(cb[1]) << 8 |
-                     static_cast<uint32_t>(cb[2]) << 16 |
-                     static_cast<uint32_t>(cb[3]) << 24;
+  const uint32_t got_crc = LoadLittleEndian<uint32_t>(cb);
   uint32_t want_crc = Crc32(sec_data_, sec_size_);
   if (got_crc != want_crc) {
     return Status::IOError("corrupt file: section checksum mismatch");
@@ -599,16 +631,13 @@ uint8_t Reader::ReadU8() {
 uint32_t Reader::ReadU32() {
   unsigned char b[4] = {0, 0, 0, 0};
   if (!TakeBytes(b, 4)) return 0;
-  return static_cast<uint32_t>(b[0]) | static_cast<uint32_t>(b[1]) << 8 |
-         static_cast<uint32_t>(b[2]) << 16 | static_cast<uint32_t>(b[3]) << 24;
+  return LoadLittleEndian<uint32_t>(b);
 }
 
 uint64_t Reader::ReadU64() {
   unsigned char b[8] = {0};
   if (!TakeBytes(b, 8)) return 0;
-  uint64_t v = 0;
-  for (size_t i = 0; i < 8; ++i) v |= static_cast<uint64_t>(b[i]) << (8 * i);
-  return v;
+  return LoadLittleEndian<uint64_t>(b);
 }
 
 double Reader::ReadDouble() { return std::bit_cast<double>(ReadU64()); }
@@ -635,54 +664,37 @@ void Reader::AlignTo(size_t alignment) {
   }
 }
 
-const uint64_t* Reader::ReadU64Span(size_t n, std::vector<uint64_t>* owned) {
+template <typename T>
+const T* Reader::ReadSpan(size_t n, std::vector<T>* owned) {
   owned->clear();
-  const size_t bytes = n * sizeof(uint64_t);
-  const char* view = TakeView(bytes);
+  const char* view = TakeView(n * sizeof(T));
   if (view == nullptr) return nullptr;
   if (kHostLittleEndian && mapped() &&
-      reinterpret_cast<uintptr_t>(view) % alignof(uint64_t) == 0) {
-    return reinterpret_cast<const uint64_t*>(view);
+      reinterpret_cast<uintptr_t>(view) % alignof(T) == 0) {
+    return reinterpret_cast<const T*>(view);
   }
   owned->resize(n);
-  if constexpr (kHostLittleEndian) {
-    // An empty vector's data() may be null, which memcpy must never get.
-    if (bytes > 0) std::memcpy(owned->data(), view, bytes);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      uint64_t v = 0;
-      for (size_t b = 0; b < 8; ++b) {
-        v |= static_cast<uint64_t>(static_cast<unsigned char>(view[8 * i + b])) << (8 * b);
-      }
-      (*owned)[i] = v;
-    }
-  }
+  DecodeArray(view, n, owned->data());
   return owned->data();
 }
 
+const uint64_t* Reader::ReadU64Span(size_t n, std::vector<uint64_t>* owned) {
+  return ReadSpan(n, owned);
+}
+
 const uint32_t* Reader::ReadU32Span(size_t n, std::vector<uint32_t>* owned) {
-  owned->clear();
-  const size_t bytes = n * sizeof(uint32_t);
-  const char* view = TakeView(bytes);
-  if (view == nullptr) return nullptr;
-  if (kHostLittleEndian && mapped() &&
-      reinterpret_cast<uintptr_t>(view) % alignof(uint32_t) == 0) {
-    return reinterpret_cast<const uint32_t*>(view);
-  }
-  owned->resize(n);
-  if constexpr (kHostLittleEndian) {
-    // An empty vector's data() may be null, which memcpy must never get.
-    if (bytes > 0) std::memcpy(owned->data(), view, bytes);
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      uint32_t v = 0;
-      for (size_t b = 0; b < 4; ++b) {
-        v |= static_cast<uint32_t>(static_cast<unsigned char>(view[4 * i + b])) << (8 * b);
-      }
-      (*owned)[i] = v;
-    }
-  }
-  return owned->data();
+  return ReadSpan(n, owned);
+}
+
+template <typename T>
+std::vector<T> Reader::ReadVector() {
+  const size_t n = ReadLength(sizeof(T));
+  std::vector<T> v;
+  const char* view = TakeView(n * sizeof(T));
+  if (view == nullptr) return v;
+  v.resize(n);
+  DecodeArray(view, n, v.data());
+  return v;
 }
 
 std::string Reader::ReadString() {
@@ -694,30 +706,10 @@ std::string Reader::ReadString() {
   return s;
 }
 
-std::vector<uint64_t> Reader::ReadU64Vector() {
-  size_t n = ReadLength(8);
-  std::vector<uint64_t> v;
-  v.reserve(n);
-  for (size_t i = 0; i < n && status_.ok(); ++i) v.push_back(ReadU64());
-  return v;
-}
+std::vector<uint64_t> Reader::ReadU64Vector() { return ReadVector<uint64_t>(); }
 
-std::vector<double> Reader::ReadDoubleVector() {
-  size_t n = ReadLength(8);
-  std::vector<double> v;
-  v.reserve(n);
-  for (size_t i = 0; i < n && status_.ok(); ++i) v.push_back(ReadDouble());
-  return v;
-}
+std::vector<double> Reader::ReadDoubleVector() { return ReadVector<double>(); }
 
-std::vector<float> Reader::ReadFloatVector() {
-  size_t n = ReadLength(4);
-  std::vector<float> v;
-  v.reserve(n);
-  for (size_t i = 0; i < n && status_.ok(); ++i) {
-    v.push_back(std::bit_cast<float>(ReadU32()));
-  }
-  return v;
-}
+std::vector<float> Reader::ReadFloatVector() { return ReadVector<float>(); }
 
 }  // namespace d3l::io

@@ -317,8 +317,15 @@ class Reader {
   /// Borrows `n` bytes of the current section payload (bounds-checked
   /// cursor advance) without copying; nullptr + latched status on overrun.
   const char* TakeView(size_t n);
+  /// ReadU64Span/ReadU32Span for element type T.
+  template <typename T>
+  const T* ReadSpan(size_t n, std::vector<T>* owned);
+  /// A length-prefixed array of T, decoded in one pass.
+  template <typename T>
+  std::vector<T> ReadVector();
 
   std::FILE* file_ = nullptr;
+  uint64_t file_size_ = 0;  ///< size of file_ at Open (file mode)
   std::string input_;       ///< framing bytes (OpenBuffer mode)
   std::shared_ptr<MappedFile> mapping_;  ///< framing bytes (mapped mode)
   const char* frame_data_ = nullptr;  ///< in-memory framing (buffer/mapped)

@@ -41,7 +41,6 @@ BandedLsh::BandedLsh(BandedLshOptions options) : options_(options) {
   auto [b, r] = OptimalBandsRows(options_.signature_size, options_.threshold);
   bands_ = b;
   rows_ = r;
-  buckets_.resize(bands_);
 }
 
 void BandedLsh::CheckSignatureSize(size_t n) const {
@@ -55,6 +54,16 @@ void BandedLsh::CheckSignatureSize(size_t n) const {
                  "BandedLsh: signature has %zu values but bands * rows = %zu "
                  "(options signature_size %zu)\n",
                  n, need, options_.signature_size);
+    std::abort();
+  }
+}
+
+void BandedLsh::CheckIndexed(const char* what) const {
+  // Pending inserts are not in the sorted arrays, so a lookup would miss
+  // them silently; a missing Index() call is a programming error.
+  if (!pending_ids_.empty()) {
+    std::fprintf(stderr, "BandedLsh: %s with %zu inserts not yet Index()ed\n", what,
+                 pending_ids_.size());
     std::abort();
   }
 }
@@ -74,22 +83,56 @@ void BandedLsh::Insert(ItemId id, const Signature& signature) {
 void BandedLsh::Insert(ItemId id, const uint64_t* signature, size_t n) {
   CheckSignatureSize(n);
   for (size_t b = 0; b < bands_; ++b) {
-    buckets_[b][BandHash(b, signature)].push_back(id);
+    pending_hashes_.push_back(BandHash(b, signature));
   }
-  ++num_items_;
+  pending_ids_.push_back(id);
   id_bound_ = std::max<size_t>(id_bound_, size_t{id} + 1);
+}
+
+void BandedLsh::Index() {
+  if (pending_ids_.empty()) return;
+  const size_t n = num_items_ + pending_ids_.size();
+  std::vector<uint64_t> sorted_hashes(bands_ * n);
+  std::vector<ItemId> sorted_ids(bands_ * n);
+  std::vector<std::pair<uint64_t, ItemId>> band(n);
+  for (size_t b = 0; b < bands_; ++b) {
+    for (size_t i = 0; i < num_items_; ++i) {
+      band[i] = {hashes()[b * num_items_ + i], ids()[b * num_items_ + i]};
+    }
+    for (size_t i = 0; i < pending_ids_.size(); ++i) {
+      band[num_items_ + i] = {pending_hashes_[i * bands_ + b], pending_ids_[i]};
+    }
+    std::sort(band.begin(), band.end());
+    for (size_t i = 0; i < n; ++i) {
+      sorted_hashes[b * n + i] = band[i].first;
+      sorted_ids[b * n + i] = band[i].second;
+    }
+  }
+  owned_hashes_ = std::move(sorted_hashes);
+  owned_ids_ = std::move(sorted_ids);
+  borrowed_hashes_ = nullptr;
+  borrowed_ids_ = nullptr;
+  storage_.reset();
+  num_items_ = n;
+  pending_hashes_ = std::vector<uint64_t>();  // release, not just clear
+  pending_ids_ = std::vector<ItemId>();
 }
 
 std::vector<BandedLsh::ItemId> BandedLsh::Query(const Signature& signature) const {
   CheckSignatureSize(signature.size());
+  CheckIndexed("Query");
   // An item similar to the query collides in many bands; dedupe the visits
   // before sorting the (much smaller) set of distinct ids.
   SeenSet seen(id_bound_);
   std::vector<ItemId> out;
   for (size_t b = 0; b < bands_; ++b) {
-    auto it = buckets_[b].find(BandHash(b, signature.data()));
-    if (it == buckets_[b].end()) continue;
-    for (ItemId id : it->second) {
+    const uint64_t h = BandHash(b, signature.data());
+    const uint64_t* first = hashes() + b * num_items_;
+    const uint64_t* last = first + num_items_;
+    const ItemId* band_ids = ids() + b * num_items_;
+    for (const uint64_t* it = std::lower_bound(first, last, h); it != last && *it == h;
+         ++it) {
+      const ItemId id = band_ids[it - first];
       if (seen.Insert(id)) out.push_back(id);
     }
   }
@@ -98,14 +141,61 @@ std::vector<BandedLsh::ItemId> BandedLsh::Query(const Signature& signature) cons
 }
 
 size_t BandedLsh::MemoryUsage() const {
-  size_t bytes = sizeof(BandedLsh);
-  for (const auto& band : buckets_) {
-    bytes += band.size() * (sizeof(uint64_t) + 16);
-    for (const auto& [h, ids] : band) {
-      bytes += ids.size() * sizeof(ItemId);
+  return sizeof(BandedLsh) + owned_hashes_.capacity() * sizeof(uint64_t) +
+         owned_ids_.capacity() * sizeof(ItemId) +
+         pending_hashes_.capacity() * sizeof(uint64_t) +
+         pending_ids_.capacity() * sizeof(ItemId);
+}
+
+void BandedLsh::Save(io::Writer& w) const {
+  CheckIndexed("Save");
+  w.WriteU64(bands_);
+  w.WriteU64(rows_);
+  w.WriteU64(num_items_);
+  // The pad puts the hash array at an aligned file offset; the id array
+  // follows 4-aligned because the hash array's byte length is a multiple
+  // of 8. Both are then valid in-place spans under a mapped reader.
+  w.AlignTo(8);
+  w.WriteRawU64Array(hashes(), bands_ * num_items_);
+  w.WriteRawU32Array(ids(), bands_ * num_items_);
+}
+
+BandedLsh BandedLsh::Load(io::Reader& r, BandedLshOptions options, size_t id_bound) {
+  BandedLsh index(options);
+  const uint64_t bands = r.ReadU64();
+  const uint64_t rows = r.ReadU64();
+  if (!r.status().ok()) return index;
+  if (bands != index.bands_ || rows != index.rows_) {
+    r.MarkCorrupt("banded index shape disagrees with its options");
+    return index;
+  }
+  const size_t n = r.ReadLength(index.bands_ * (sizeof(uint64_t) + sizeof(ItemId)));
+  r.AlignTo(8);
+  const uint64_t* hashes = r.ReadU64Span(index.bands_ * n, &index.owned_hashes_);
+  const ItemId* ids = r.ReadU32Span(index.bands_ * n, &index.owned_ids_);
+  if (!r.status().ok()) return BandedLsh(options);
+  for (size_t b = 0; b < index.bands_; ++b) {
+    for (size_t i = b * n; i < (b + 1) * n; ++i) {
+      if (ids[i] >= id_bound) {
+        r.MarkCorrupt("banded index id out of range");
+        return BandedLsh(options);
+      }
+      if (i > b * n && (hashes[i] < hashes[i - 1] ||
+                        (hashes[i] == hashes[i - 1] && ids[i] < ids[i - 1]))) {
+        r.MarkCorrupt("banded index band is not sorted");
+        return BandedLsh(options);
+      }
     }
   }
-  return bytes;
+  index.num_items_ = n;
+  index.id_bound_ = id_bound;
+  // A span that did not land in the owned vector borrows the mapping.
+  if (n > 0 && hashes != index.owned_hashes_.data()) index.borrowed_hashes_ = hashes;
+  if (n > 0 && ids != index.owned_ids_.data()) index.borrowed_ids_ = ids;
+  if (index.borrowed_hashes_ != nullptr || index.borrowed_ids_ != nullptr) {
+    index.storage_ = r.mapping();
+  }
+  return index;
 }
 
 }  // namespace d3l

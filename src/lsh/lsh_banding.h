@@ -10,9 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
+#include "io/binary_io.h"
 #include "lsh/minhash.h"
 
 namespace d3l {
@@ -32,6 +33,13 @@ std::pair<size_t, size_t> OptimalBandsRows(size_t signature_size, double thresho
 double BandingCollisionProbability(double similarity, size_t bands, size_t rows);
 
 /// \brief Threshold-style LSH index over MinHash signatures.
+///
+/// Each band is a pair of parallel arrays, band hashes and item ids, sorted
+/// by (hash, id). Insert appends; Index() sorts and must run before Query,
+/// which binary-searches each band's hash and walks the matching run. Save()
+/// writes the sorted arrays 8-byte aligned, so a mapped Load borrows them in
+/// place (like LshForest) and a loaded index is built and queried through
+/// the same representation as one built in process.
 class BandedLsh {
  public:
   using ItemId = uint32_t;
@@ -41,30 +49,71 @@ class BandedLsh {
   size_t bands() const { return bands_; }
   size_t rows() const { return rows_; }
 
+  /// Registers an item; call Index() before querying. Inserting into an
+  /// index that borrows a mapping copies its arrays at the next Index().
   void Insert(ItemId id, const Signature& signature);
 
   /// Span form for flat signature stores: `signature` points at `n` values.
   void Insert(ItemId id, const uint64_t* signature, size_t n);
 
+  /// Sorts every band by (hash, id). Insert/Index may be alternated.
+  void Index();
+
   /// Items sharing at least one band with the query (candidates whose
   /// Jaccard similarity is likely >= threshold), ascending and distinct.
+  /// Aborts (in all build types) on an index with un-Index()ed inserts.
   std::vector<ItemId> Query(const Signature& signature) const;
 
-  size_t size() const { return num_items_; }
+  size_t size() const { return num_items_ + pending_ids_.size(); }
+
+  /// True when the band arrays are borrowed from a snapshot mapping.
+  bool borrows_mapping() const { return storage_ != nullptr; }
+
+  /// Heap footprint in bytes; arrays borrowed from a mapping count zero.
   size_t MemoryUsage() const;
+
+  /// Serializes the band shape and the sorted arrays (8-byte aligned) into
+  /// the writer's current section. Aborts on an un-Index()ed index.
+  void Save(io::Writer& w) const;
+
+  /// Deserializes an index written by Save() for the given options. The
+  /// band shape must match the options, every band must be sorted and every
+  /// id must be below `id_bound` (the size of the registry the ids index;
+  /// it also sizes Query's seen-set, so nothing read from the file does);
+  /// otherwise the reader's status() is latched corrupt and the returned
+  /// index must be discarded. Under a mapped reader the arrays are
+  /// borrowed from the mapping, which the index keeps alive.
+  static BandedLsh Load(io::Reader& r, BandedLshOptions options, size_t id_bound);
 
  private:
   uint64_t BandHash(size_t band, const uint64_t* sig) const;
   // Aborts (in all build types) if the signature is too short for BandHash.
   void CheckSignatureSize(size_t n) const;
+  // Aborts (in all build types) if inserts await Index(); `what` names the caller.
+  void CheckIndexed(const char* what) const;
+
+  const uint64_t* hashes() const {
+    return borrowed_hashes_ != nullptr ? borrowed_hashes_ : owned_hashes_.data();
+  }
+  const ItemId* ids() const {
+    return borrowed_ids_ != nullptr ? borrowed_ids_ : owned_ids_.data();
+  }
 
   BandedLshOptions options_;
   size_t bands_;
   size_t rows_;
-  // band index -> (band hash -> item ids)
-  std::vector<std::unordered_map<uint64_t, std::vector<ItemId>>> buckets_;
-  size_t num_items_ = 0;
-  size_t id_bound_ = 0;  ///< every inserted id is below it (sizes Query's seen-set)
+  // Band-major sorted arrays: band b holds entries [b * num_items_,
+  // (b + 1) * num_items_), ordered by (hash, id).
+  std::vector<uint64_t> owned_hashes_;
+  std::vector<ItemId> owned_ids_;
+  const uint64_t* borrowed_hashes_ = nullptr;  ///< into a mapping, or null
+  const ItemId* borrowed_ids_ = nullptr;
+  std::shared_ptr<io::MappedFile> storage_;  ///< keeps a borrowed mapping alive
+  size_t num_items_ = 0;  ///< entries per band in the sorted arrays
+  // Inserted since the last Index(): each item's bands_ band hashes, item-major.
+  std::vector<uint64_t> pending_hashes_;
+  std::vector<ItemId> pending_ids_;
+  size_t id_bound_ = 0;  ///< every stored id is below it (sizes Query's seen-set)
 };
 
 }  // namespace d3l

@@ -81,6 +81,7 @@ void LshEnsemble::Index() {
                     options_.signature_size);
       }
     }
+    for (BandedLsh& rung : part.rungs) rung.Index();
     partitions_.push_back(std::move(part));
   }
 }

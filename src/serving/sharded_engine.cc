@@ -94,9 +94,9 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     }
   }
 
-  // Load every shard replica, in parallel on the query pool (the banded
-  // indexes are rebuilt from signatures at load time, which is the bulk of
-  // the open cost for big shard sets).
+  // Load every shard replica, in parallel on the query pool (the section
+  // CRCs and the registry and signature decode are the bulk of the open
+  // cost for big shard sets).
   engine->shard_lakes_.resize(n_shards);
   engine->shards_.resize(n_shards);
   std::vector<Status> load_status(n_shards);

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "io/binary_io.h"
 #include "tests/test_util.h"
@@ -173,6 +176,92 @@ TEST_F(IndexesTest, LoadRejectsNumericSamplesKsCannotMerge) {
       EXPECT_NE(loaded.status().ToString().find("numeric sample"), std::string::npos)
           << loaded.status().ToString();
     }
+  }
+}
+
+// Frames `indexes` as an INDX section in memory, lets `mutate` edit the
+// payload, re-seals the checksum (so only Load's own checks can object)
+// and loads the result.
+Result<D3LIndexes> SaveMutateLoad(const D3LIndexes& indexes,
+                                  const std::function<void(char*, size_t)>& mutate) {
+  std::string bytes;
+  io::Writer w;
+  w.OpenBuffer(&bytes);
+  w.BeginSection(io::SectionId("INDX"));
+  indexes.Save(w);
+  EXPECT_TRUE(w.EndSection().ok());
+  // Framing: [id u32][payload size u64][payload][crc32 u32].
+  char* payload = bytes.data() + 12;
+  const size_t size = bytes.size() - 16;
+  mutate(payload, size);
+  const uint32_t crc = io::Crc32(payload, size);
+  for (size_t i = 0; i < 4; ++i) payload[size + i] = static_cast<char>(crc >> (8 * i));
+  io::Reader r;
+  EXPECT_TRUE(r.OpenBuffer(std::move(bytes)).ok());
+  EXPECT_TRUE(r.OpenSection(io::SectionId("INDX")).ok());
+  return D3LIndexes::Load(r);
+}
+
+uint64_t GetU64(const char* p) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < 8; ++i) v |= uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+  return v;
+}
+
+void PutU64(char* p, uint64_t v) {
+  for (size_t i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
+}
+
+TEST_F(IndexesTest, LoadRejectsDamagedBandedIndexes) {
+  InsertTable(testutil::FigureS1(), 0);
+  InsertTable(testutil::FigureS2(), 1);
+  indexes_.Finalize();
+  const size_t n_attrs = indexes_.num_attributes();
+  size_t n_value = 0;
+  for (uint32_t id = 0; id < n_attrs; ++id) n_value += indexes_.signatures(id).has_value;
+  const auto [bands, rows] =
+      OptimalBandsRows(indexes_.options().minhash_size, indexes_.options().join_threshold);
+  ASSERT_GE(n_value, 2u);
+
+  // The join-threshold IV index is saved last: its (bands, rows, entries)
+  // header, up to 7 pad bytes, then bands * n_value u64 hashes and as many
+  // u32 ids, which end the payload.
+  const size_t entries = bands * n_value;
+  const auto ids_at = [&](size_t size) { return size - 4 * entries; };
+  const auto hashes_at = [&](size_t size) { return ids_at(size) - 8 * entries; };
+  const auto header_at = [&](const char* payload, size_t size) {
+    for (size_t pad = 0; pad < 8; ++pad) {
+      const char* h = payload + hashes_at(size) - pad - 24;
+      if (GetU64(h) == bands && GetU64(h + 8) == rows && GetU64(h + 16) == n_value) {
+        return hashes_at(size) - pad - 24;
+      }
+    }
+    ADD_FAILURE() << "join banded header not found";
+    return size_t{0};
+  };
+
+  auto intact = SaveMutateLoad(indexes_, [](char*, size_t) {});
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+
+  const std::vector<std::pair<std::string, std::function<void(char*, size_t)>>> cases = {
+      {"id out of range",
+       [&](char* p, size_t size) {
+         // The last entry of the last band: a larger id keeps it sorted.
+         for (size_t i = 0; i < 4; ++i) p[size - 4 + i] = static_cast<char>(n_attrs >> (8 * i));
+       }},
+      {"not sorted", [&](char* p, size_t size) { PutU64(p + hashes_at(size), ~0ull); }},
+      {"shape disagrees",
+       [&](char* p, size_t size) {
+         char* h = p + header_at(p, size);
+         PutU64(h, GetU64(h) + 1);
+       }},
+  };
+  for (const auto& [want, mutate] : cases) {
+    auto loaded = SaveMutateLoad(indexes_, mutate);
+    ASSERT_FALSE(loaded.ok()) << want;
+    EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
+    EXPECT_NE(loaded.status().ToString().find(want), std::string::npos)
+        << loaded.status().ToString();
   }
 }
 

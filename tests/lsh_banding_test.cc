@@ -5,7 +5,10 @@
 #include <cmath>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "io/binary_io.h"
 #include "lsh/minhash.h"
 
 namespace d3l {
@@ -54,6 +57,7 @@ TEST_F(BandedLshTest, HighSimilarityCollides) {
   auto query = OverlappingSet(60, 60, 0);
   auto near = OverlappingSet(57, 60, 1);  // jaccard ~ 0.9
   index.Insert(0, hasher_.Sign(near));
+  index.Index();
   auto hits = index.Query(hasher_.Sign(query));
   EXPECT_EQ(std::count(hits.begin(), hits.end(), 0u), 1);
 }
@@ -64,6 +68,7 @@ TEST_F(BandedLshTest, LowSimilarityRarelyCollides) {
   for (uint32_t i = 0; i < 50; ++i) {
     index.Insert(i, hasher_.Sign(OverlappingSet(10, 60, 100 + i)));
   }
+  index.Index();
   auto hits = index.Query(hasher_.Sign(OverlappingSet(60, 60, 0)));
   EXPECT_LE(hits.size(), 3u);
 }
@@ -72,6 +77,7 @@ TEST_F(BandedLshTest, QueryDeduplicates) {
   BandedLsh index;
   auto sig = hasher_.Sign(OverlappingSet(40, 40, 0));
   index.Insert(7, sig);
+  index.Index();
   auto hits = index.Query(sig);
   EXPECT_EQ(std::count(hits.begin(), hits.end(), 7u), 1);
 }
@@ -105,6 +111,7 @@ TEST_P(BandedThresholdTest, CollisionRateTracksSimilarity) {
       b.insert("b_" + std::to_string(t) + "_" + std::to_string(j));
     }
     index.Insert(0, hasher.Sign(b));
+    index.Index();
     auto hits = index.Query(hasher.Sign(a));
     if (!hits.empty()) ++collided;
   }
@@ -130,11 +137,81 @@ TEST(BandedLshDeathTest, ShortSignatureAbortsLoudly) {
   MinHasher hasher(64, 11);
   Signature good = hasher.Sign(OverlappingSet(30, 60, 0));
   index.Insert(0, good);
+  index.Index();
 
   MinHasher short_hasher(16, 11);
   Signature short_sig = short_hasher.Sign(OverlappingSet(30, 60, 1));
   EXPECT_DEATH(index.Insert(1, short_sig), "BandedLsh: signature has");
   EXPECT_DEATH((void)index.Query(short_sig), "BandedLsh: signature has");
+}
+
+TEST(BandedLshDeathTest, QueryBeforeIndexAbortsLoudly) {
+  // Un-indexed inserts are not in the sorted bands, so a lookup would miss
+  // them silently; it must die with a diagnostic instead.
+  MinHasher hasher(256, 3);
+  BandedLsh index;
+  const Signature sig = hasher.Sign(OverlappingSet(30, 60, 0));
+  index.Insert(0, sig);
+  EXPECT_DEATH((void)index.Query(sig), "not yet Index\\(\\)ed");
+  index.Index();
+  index.Insert(1, sig);  // alternating Insert/Index re-opens the index
+  EXPECT_DEATH((void)index.Query(sig), "not yet Index\\(\\)ed");
+}
+
+TEST_F(BandedLshTest, InsertAfterIndexMatchesOneBatch) {
+  BandedLsh batch;
+  BandedLsh staged;
+  std::vector<Signature> sigs;
+  for (uint32_t i = 0; i < 40; ++i) {
+    sigs.push_back(hasher_.Sign(OverlappingSet(20 + i % 7, 40, static_cast<int>(i % 5))));
+    batch.Insert(i, sigs.back());
+    staged.Insert(i, sigs.back());
+    if (i == 17) staged.Index();
+  }
+  batch.Index();
+  staged.Index();
+  EXPECT_EQ(staged.size(), batch.size());
+  for (const Signature& q : sigs) EXPECT_EQ(staged.Query(q), batch.Query(q));
+}
+
+TEST_F(BandedLshTest, SaveLoadRoundTripBorrowsWhenMappedAndOwnsWhenCopied) {
+  BandedLsh index;
+  std::vector<Signature> sigs;
+  for (uint32_t i = 0; i < 60; ++i) {
+    sigs.push_back(hasher_.Sign(OverlappingSet(25 + i % 11, 40, static_cast<int>(i % 6))));
+    index.Insert(i, sigs.back());
+  }
+  index.Index();
+
+  const std::string path = ::testing::TempDir() + "/banded_round_trip.bin";
+  io::Writer w;
+  ASSERT_TRUE(w.Open(path, "LSHBAND\n", 1).ok());
+  w.BeginSection(io::SectionId("BAND"));
+  w.WriteU8(7);  // misalign the header so Save must pad the arrays
+  index.Save(w);
+  ASSERT_TRUE(w.Finish().ok());
+
+  const auto load = [&](io::ReadMode mode) {
+    io::Reader r;
+    EXPECT_TRUE(r.Open(path, "LSHBAND\n", 1, 1, nullptr, mode).ok());
+    EXPECT_TRUE(r.OpenSection(io::SectionId("BAND")).ok());
+    EXPECT_EQ(r.ReadU8(), 7u);
+    BandedLsh loaded = BandedLsh::Load(r, BandedLshOptions{}, 60);
+    EXPECT_TRUE(r.status().ok()) << r.status().ToString();
+    EXPECT_TRUE(r.EndSection().ok());
+    return loaded;
+  };
+  const BandedLsh mapped = load(io::ReadMode::kMapped);
+  const BandedLsh copied = load(io::ReadMode::kBuffered);
+  EXPECT_TRUE(mapped.borrows_mapping());
+  EXPECT_FALSE(copied.borrows_mapping());
+  EXPECT_EQ(mapped.MemoryUsage(), sizeof(BandedLsh));
+  EXPECT_EQ(copied.size(), index.size());
+  EXPECT_EQ(mapped.size(), index.size());
+  for (const Signature& q : sigs) {
+    EXPECT_EQ(mapped.Query(q), index.Query(q));
+    EXPECT_EQ(copied.Query(q), index.Query(q));
+  }
 }
 
 }  // namespace

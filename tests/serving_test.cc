@@ -571,6 +571,28 @@ TEST_F(ShardDamageTest, CorruptShardFileFailsChecksum) {
   EXPECT_FALSE(serving::ShardedEngine::Open(manifest, no_verify).ok());
 }
 
+TEST_F(ShardDamageTest, CorruptManifestSectionLengthFailsCleanly) {
+  std::string manifest = BuildSet();
+  // Byte 23 is the top byte of the first section's payload length (after
+  // the 12-byte header, a 4-byte id and 7 low length bytes): the buffered
+  // reader must reject the length before allocating for it.
+  std::fstream f(manifest, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good());
+  char c;
+  f.seekg(23);
+  f.get(c);
+  f.seekp(23);
+  f.put(static_cast<char>(c ^ 0x40));
+  f.close();
+
+  auto loaded = serving::ShardManifest::Load(manifest);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status().ToString();
+  auto opened = serving::ShardedEngine::Open(manifest);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsIOError()) << opened.status().ToString();
+}
+
 TEST_F(ShardDamageTest, ShardCountMismatchFailsValidation) {
   std::string manifest_path = BuildSet();
   auto manifest = serving::ShardManifest::Load(manifest_path);

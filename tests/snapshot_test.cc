@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "core/join_graph.h"
 #include "core/query.h"
 #include "io/binary_io.h"
 #include "lsh/lsh_ensemble.h"
@@ -54,6 +56,74 @@ DataLake MakeFigureLake() {
 }
 
 // ------------------------------------------------------------- primitives
+
+// The bytewise CRC-32 loop that io::Crc32 replaced with slice-by-8, kept
+// here as the reference the fast version must match.
+uint32_t BytewiseCrc32(const void* data, size_t len) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng());
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryShortLengthAndOffset) {
+  EXPECT_EQ(io::Crc32("123456789", 9), 0xCBF43926u);  // the standard check value
+  const std::vector<unsigned char> bytes = RandomBytes(64 + 8, 1);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(io::Crc32(bytes.data() + offset, len),
+                BytewiseCrc32(bytes.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnLargeBuffers) {
+  for (size_t len : {size_t{1} << 20, (size_t{3} << 20) + 5}) {
+    const std::vector<unsigned char> bytes = RandomBytes(len, len);
+    EXPECT_EQ(io::Crc32(bytes.data(), len), BytewiseCrc32(bytes.data(), len)) << len;
+  }
+  std::ifstream in(std::string(D3L_TEST_DATA_DIR) + "/golden_v1.snap", std::ios::binary);
+  const std::string golden((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(io::Crc32(golden.data(), golden.size()),
+            BytewiseCrc32(golden.data(), golden.size()));
+}
+
+TEST(Crc32Test, AccumulatorOverRandomChunkSplitsMatchesOneShot) {
+  const std::vector<unsigned char> bytes = RandomBytes(size_t{1} << 20, 3);
+  const uint32_t want = BytewiseCrc32(bytes.data(), bytes.size());
+  std::mt19937_64 rng(4);
+  for (int trial = 0; trial < 20; ++trial) {
+    io::Crc32Accumulator acc;
+    size_t pos = 0;
+    while (pos < bytes.size()) {
+      // Mostly short chunks (odd tails, misaligned starts), some long ones.
+      const size_t cap = rng() % 4 == 0 ? 100000 : 20;
+      const size_t len = std::min<size_t>(rng() % (cap + 1), bytes.size() - pos);
+      acc.Update(bytes.data() + pos, len);
+      pos += len;
+    }
+    EXPECT_EQ(acc.Finish(), want) << "trial " << trial;
+  }
+}
 
 TEST_F(SnapshotTest, WriterReaderPrimitivesRoundTrip) {
   const std::string path = Path("prims.bin");
@@ -434,6 +504,9 @@ TEST_F(SnapshotTest, MappedAndCopiedLoadsRankIdentically) {
   // On this platform the default mode should really map (no silent
   // regression to the copy path).
   EXPECT_TRUE((*mapped)->load_stats().mapped);
+  // All five banded indexes borrow the mapping; a copied load owns them.
+  EXPECT_EQ((*mapped)->indexes().banded_borrowing_mapping(), 5u);
+  EXPECT_EQ((*copied)->indexes().banded_borrowing_mapping(), 0u);
 
   ExpectIdenticalSearch(**mapped, **copied);
 }
@@ -475,10 +548,12 @@ TEST_F(SnapshotTest, SnapshotInfoReportsFormatVersionAndMappability) {
   EXPECT_TRUE(info->mappable);
 }
 
-// ------------------------------------------------- v1 back-compat (golden)
+// ------------------------------------------- v1/v2 back-compat (golden)
 
-// The checked-in fixture was written by the pre-flat-layout v1 writer over
-// this exact lake; the loader must keep reading it forever.
+// The checked-in fixtures were written over this exact lake by the v1
+// writer (per-entry forests) and the v2 writer (flat forests; both carry
+// full profiles and no banded indexes); the loader must keep reading them
+// forever.
 DataLake MakeGoldenLake() {
   DataLake lake;
   lake.AddTable(testutil::FigureS1()).CheckOK();
@@ -489,29 +564,90 @@ DataLake MakeGoldenLake() {
   return lake;
 }
 
+struct GoldenFixture {
+  const char* file;
+  uint32_t version;
+  bool mappable;  ///< flat forest arrays: a mapped load borrows them
+};
+constexpr GoldenFixture kGoldenFixtures[] = {{"golden_v1.snap", 1, false},
+                                             {"golden_v2.snap", 2, true}};
+
+std::string GoldenPath(const GoldenFixture& fixture) {
+  return std::string(D3L_TEST_DATA_DIR) + "/" + fixture.file;
+}
+
 TEST_F(SnapshotTest, GoldenV1SnapshotStillLoads) {
-  const std::string golden = std::string(D3L_TEST_DATA_DIR) + "/golden_v1.snap";
-  ASSERT_TRUE(fs::exists(golden)) << golden;
+  for (const GoldenFixture& fixture : kGoldenFixtures) {
+    SCOPED_TRACE(fixture.file);
+    const std::string golden = GoldenPath(fixture);
+    ASSERT_TRUE(fs::exists(golden)) << golden;
 
-  auto info = core::D3LEngine::ReadSnapshotInfo(golden);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->format_version, 1u);
-  EXPECT_FALSE(info->mappable);
+    auto info = core::D3LEngine::ReadSnapshotInfo(golden);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->format_version, fixture.version);
+    EXPECT_EQ(info->mappable, fixture.mappable);
 
-  DataLake meta;
-  auto loaded = core::D3LEngine::LoadSnapshot(golden, &meta);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->load_stats().format_version, 1u);
-  // v1 predates the alignment padding; its forests always copy.
-  EXPECT_FALSE((*loaded)->load_stats().mapped);
+    DataLake meta;
+    auto loaded = core::D3LEngine::LoadSnapshot(golden, &meta);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ((*loaded)->load_stats().format_version, fixture.version);
+    // v1 predates the alignment padding; its forests always copy. Neither
+    // version stores banded indexes: they are rebuilt, so owned.
+    EXPECT_EQ((*loaded)->load_stats().mapped, fixture.mappable);
+    EXPECT_EQ((*loaded)->indexes().banded_borrowing_mapping(), 0u);
 
-  // A freshly built engine over the same lake ranks identically — the old
-  // wire format decodes to the same index state as today's.
+    // A freshly built engine over the same lake ranks identically — the old
+    // wire format decodes to the same index state as today's.
+    DataLake lake = MakeGoldenLake();
+    core::D3LEngine built;
+    ASSERT_TRUE(built.IndexLake(lake).ok());
+    ASSERT_EQ(meta.size(), lake.size());
+    ExpectIdenticalSearch(**loaded, built);
+  }
+}
+
+// The SA-join graph reads the registry's tset sizes and the join-threshold
+// banded index, both stored differently by v3 than by v1 and v2. Every
+// load, mapped or copied, must give the built engine's edges and overlap
+// estimates.
+TEST_F(SnapshotTest, LoadedEnginesBuildTheSameJoinGraph) {
   DataLake lake = MakeGoldenLake();
   core::D3LEngine built;
   ASSERT_TRUE(built.IndexLake(lake).ok());
-  ASSERT_EQ(meta.size(), lake.size());
-  ExpectIdenticalSearch(**loaded, built);
+  const std::string v3 = Path("golden_v3.d3l");
+  ASSERT_TRUE(built.SaveSnapshot(v3).ok());
+
+  // min_overlap 0 keeps every join candidate, so every estimate is compared.
+  for (double min_overlap : {0.6, 0.0}) {
+    const core::SaJoinGraph want = core::SaJoinGraph::Build(built, min_overlap);
+    ASSERT_GT(want.num_edges(), 0u);
+    for (const std::string& path : {GoldenPath(kGoldenFixtures[0]),
+                                    GoldenPath(kGoldenFixtures[1]), v3}) {
+      for (auto mode :
+           {core::SnapshotLoadMode::kMapped, core::SnapshotLoadMode::kCopied}) {
+        SCOPED_TRACE(path + (mode == core::SnapshotLoadMode::kMapped ? " mapped"
+                                                                     : " copied"));
+        DataLake meta;
+        auto loaded = core::D3LEngine::LoadSnapshot(path, &meta, mode);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        const core::SaJoinGraph got = core::SaJoinGraph::Build(**loaded, min_overlap);
+        ASSERT_EQ(got.num_tables(), want.num_tables());
+        EXPECT_EQ(got.num_edges(), want.num_edges());
+        for (uint32_t t = 0; t < want.num_tables(); ++t) {
+          const std::vector<core::JoinEdge>& a = got.neighbours(t);
+          const std::vector<core::JoinEdge>& b = want.neighbours(t);
+          ASSERT_EQ(a.size(), b.size()) << "table " << t;
+          for (size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].from_table, b[i].from_table);
+            EXPECT_EQ(a[i].from_column, b[i].from_column);
+            EXPECT_EQ(a[i].to_table, b[i].to_table);
+            EXPECT_EQ(a[i].to_column, b[i].to_column);
+            EXPECT_EQ(a[i].overlap_estimate, b[i].overlap_estimate);
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------- damaged files
@@ -567,7 +703,9 @@ TEST_F(DamagedSnapshotTest, BitFlipsAreCaughtByChecksums) {
   // Flip one byte at several positions spread across the file (skipping the
   // 12-byte magic+version header, whose damage surfaces as bad magic or
   // version instead).
-  for (size_t pos : {size_t{14}, bytes.size() / 4, bytes.size() / 2,
+  // Offset 23 is the top byte of OPTS's payload length: a buffered load
+  // must reject the length before allocating for it.
+  for (size_t pos : {size_t{14}, size_t{23}, bytes.size() / 4, bytes.size() / 2,
                      3 * bytes.size() / 4, bytes.size() - 2}) {
     std::string flip_path = Path("flip_" + std::to_string(pos) + ".d3l");
     std::string damaged = bytes;
