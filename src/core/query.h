@@ -336,7 +336,8 @@ class D3LEngine {
   /// without re-profiling. Under the default SnapshotLoadMode::kMapped a
   /// current-version snapshot is mmapped and the index arrays borrow the
   /// mapping (the engine keeps it alive); v1 snapshots and mapping failures
-  /// fall back to full deserialization with identical results. Truncated,
+  /// fall back to full deserialization, and v1/v2 snapshots rebuild their
+  /// banded indexes, all with identical results. Truncated,
   /// corrupt or version-mismatched files fail with a descriptive non-OK
   /// Status. See load_stats() for what a given load actually did.
   static Result<std::unique_ptr<D3LEngine>> LoadSnapshot(
