@@ -64,6 +64,7 @@ void BM_BandedQuery(benchmark::State& state) {
   for (uint32_t i = 0; i < n; ++i) {
     index.Insert(i, hasher.Sign(MakeTokens(60, i)));
   }
+  index.Index();
   Signature q = hasher.Sign(MakeTokens(60, 3));
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.Query(q));

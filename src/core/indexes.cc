@@ -319,7 +319,7 @@ void D3LIndexes::Save(io::Writer& w) const {
   for (const BandedLsh* b : banded()) b->Save(w);
 }
 
-Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, IndexWireFormat format) {
+Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, uint32_t snapshot_version) {
   IndexOptions o;
   o.minhash_size = r.ReadU64();
   o.lsh_threshold = r.ReadDouble();
@@ -344,7 +344,8 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, IndexWireFormat format) {
   }
 
   D3LIndexes idx(o);
-  const bool legacy = format != IndexWireFormat::kV3;
+  // Snapshots before v3 carry full profiles and no banded indexes.
+  const bool legacy = snapshot_version < 3;
   size_t n = r.ReadLength(1);
   idx.profiles_.reserve(n);
   idx.sigs_.reserve(n);
@@ -376,9 +377,9 @@ Result<D3LIndexes> D3LIndexes::Load(io::Reader& r, IndexWireFormat format) {
   }
 
   const auto t_forests = std::chrono::steady_clock::now();
-  const ForestWireFormat forest_format = format == IndexWireFormat::kV1
-                                             ? ForestWireFormat::kPerEntry
-                                             : ForestWireFormat::kFlat;
+  // v1 predates the flat forest arrays.
+  const ForestWireFormat forest_format =
+      snapshot_version >= 2 ? ForestWireFormat::kFlat : ForestWireFormat::kPerEntry;
   idx.name_forest_ = LshForest::Load(r, forest_format);
   idx.value_forest_ = LshForest::Load(r, forest_format);
   idx.format_forest_ = LshForest::Load(r, forest_format);

@@ -80,14 +80,6 @@ struct IndexedAttribute {
   static IndexedAttribute Load(io::Reader& r);
 };
 
-/// \brief On-disk layout of serialized D3LIndexes; the engine snapshot
-/// version determines which one a file contains.
-enum class IndexWireFormat {
-  kV1,  ///< full profiles, per-entry forests, banded indexes not stored
-  kV2,  ///< full profiles, flat forests, banded indexes not stored
-  kV3,  ///< registry records, flat forests, sorted banded arrays
-};
-
 /// \brief Attribute registry + IN/IV/IF/IE. Insertion is Algorithm 1.
 class D3LIndexes {
  public:
@@ -166,20 +158,23 @@ class D3LIndexes {
   double forest_parse_seconds() const { return forest_parse_seconds_; }
 
   /// Serializes options, registry records, signatures, the four LSH
-  /// forests and the five banded indexes (IndexWireFormat::kV3) into the
+  /// forests and the five banded indexes (the snapshot v3 layout) into the
   /// writer's current section. Finalize() must have run.
   void Save(io::Writer& w) const;
 
-  /// Deserializes indexes written in `format`. A kV3 load under a mapped
-  /// reader borrows the forest and banded arrays from the mapping instead
-  /// of copying them. kV1/kV2 files carry full profiles, which are slimmed
-  /// to registry records, and no banded indexes, which are rebuilt from
-  /// the signatures by Insert + Index() as in a build. Fails with a non-OK
-  /// Status on truncated payloads, structural inconsistencies (e.g.
-  /// signature sizes or band shapes that contradict the saved options,
-  /// unsorted bands, ids outside the registry) or reader errors.
-  static Result<D3LIndexes> Load(io::Reader& r,
-                                 IndexWireFormat format = IndexWireFormat::kV3);
+  /// Deserializes indexes from an engine snapshot of `snapshot_version`,
+  /// which fixes the layout: v1 has full profiles, per-entry forests and
+  /// no banded indexes; v2 has full profiles, flat aligned forests and no
+  /// banded indexes; v3 (Save) has registry records, flat forests and the
+  /// sorted banded arrays. Under a mapped reader a v3 load borrows the
+  /// forest and banded arrays from the mapping (v2 the forest arrays)
+  /// instead of copying them. Full profiles are slimmed to registry
+  /// records, and missing banded indexes are rebuilt from the signatures
+  /// by Insert + Index() as in a build. Fails with a non-OK Status on
+  /// truncated payloads, structural inconsistencies (e.g. signature sizes
+  /// or band shapes that contradict the saved options, unsorted bands, ids
+  /// outside the registry) or reader errors.
+  static Result<D3LIndexes> Load(io::Reader& r, uint32_t snapshot_version);
 
  private:
   IndexOptions options_;

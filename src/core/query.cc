@@ -329,12 +329,6 @@ Result<std::unique_ptr<D3LEngine>> D3LEngine::LoadSnapshot(const std::string& pa
                            kSnapshotVersion, &version,
                            mode == SnapshotLoadMode::kMapped ? io::ReadMode::kMapped
                                                              : io::ReadMode::kBuffered));
-  // v1 predates the flat forest arrays (its forests always deserialize via
-  // the per-entry copy path, mapped or not); v1 and v2 predate the stored
-  // banded indexes and slim registry records.
-  const IndexWireFormat index_format = version == 1   ? IndexWireFormat::kV1
-                                       : version == 2 ? IndexWireFormat::kV2
-                                                      : IndexWireFormat::kV3;
 
   D3L_RETURN_NOT_OK(r.OpenSection(kSectionOptions));
   D3LOptions options = LoadOptions(r);
@@ -356,7 +350,7 @@ Result<std::unique_ptr<D3LEngine>> D3LEngine::LoadSnapshot(const std::string& pa
 
   D3L_RETURN_NOT_OK(r.OpenSection(kSectionIndexes));
   const auto t_index = std::chrono::steady_clock::now();
-  D3L_ASSIGN_OR_RETURN(engine->indexes_, D3LIndexes::Load(r, index_format));
+  D3L_ASSIGN_OR_RETURN(engine->indexes_, D3LIndexes::Load(r, version));
   engine->load_stats_.index_parse_seconds = SecondsSince(t_index);
   engine->load_stats_.forest_parse_seconds =
       engine->indexes_.forest_parse_seconds();
@@ -429,7 +423,7 @@ Result<std::unique_ptr<D3LEngine>> D3LEngine::LoadSnapshot(const std::string& pa
   // "Mapped" means zero-copy actually happened: a v1 file may well be
   // mmap-backed inside the Reader, but its per-entry layout still decodes
   // into owned arrays, so it does not count.
-  engine->load_stats_.mapped = r.mapped() && index_format != IndexWireFormat::kV1;
+  engine->load_stats_.mapped = r.mapped() && version >= 2;
   engine->load_stats_.pad_bytes = r.pad_bytes();
   engine->load_stats_.open_seconds = SecondsSince(t_open);
   return engine;

@@ -347,7 +347,7 @@ class D3LEngine {
   /// Magic bytes and format-version range of engine snapshot files.
   /// v1: per-entry forest encoding. v2: flat aligned forest arrays
   /// (mappable). v3: registry records without the q/t/r sets, plus the
-  /// banded indexes as sorted aligned arrays (see IndexWireFormat).
+  /// banded indexes as sorted aligned arrays (see D3LIndexes::Load).
   /// Readers accept [kSnapshotMinReadVersion, kSnapshotVersion].
   static constexpr char kSnapshotMagic[9] = "D3LSNAP\n";
   static constexpr uint32_t kSnapshotVersion = 3;

@@ -189,9 +189,11 @@ BandedLsh BandedLsh::Load(io::Reader& r, BandedLshOptions options, size_t id_bou
   }
   index.num_items_ = n;
   index.id_bound_ = id_bound;
-  // A span that did not land in the owned vector borrows the mapping.
-  if (n > 0 && hashes != index.owned_hashes_.data()) index.borrowed_hashes_ = hashes;
-  if (n > 0 && ids != index.owned_ids_.data()) index.borrowed_ids_ = ids;
+  // A span that did not land in the owned vector borrows the mapping. An
+  // empty index under a mapped reader borrows its (empty) spans too, so a
+  // lake without some evidence still reports a copy-free load.
+  if (hashes != index.owned_hashes_.data()) index.borrowed_hashes_ = hashes;
+  if (ids != index.owned_ids_.data()) index.borrowed_ids_ = ids;
   if (index.borrowed_hashes_ != nullptr || index.borrowed_ids_ != nullptr) {
     index.storage_ = r.mapping();
   }

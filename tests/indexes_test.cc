@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/query.h"
 #include "io/binary_io.h"
 #include "tests/test_util.h"
 
@@ -168,7 +169,7 @@ TEST_F(IndexesTest, LoadRejectsNumericSamplesKsCannotMerge) {
     io::Reader r;
     ASSERT_TRUE(r.OpenBuffer(std::move(bytes)).ok());
     ASSERT_TRUE(r.OpenSection(io::SectionId("INDX")).ok());
-    auto loaded = D3LIndexes::Load(r);
+    auto loaded = D3LIndexes::Load(r, D3LEngine::kSnapshotVersion);
     if (&sample == &samples.front()) {
       EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
     } else {
@@ -199,7 +200,7 @@ Result<D3LIndexes> SaveMutateLoad(const D3LIndexes& indexes,
   io::Reader r;
   EXPECT_TRUE(r.OpenBuffer(std::move(bytes)).ok());
   EXPECT_TRUE(r.OpenSection(io::SectionId("INDX")).ok());
-  return D3LIndexes::Load(r);
+  return D3LIndexes::Load(r, D3LEngine::kSnapshotVersion);
 }
 
 uint64_t GetU64(const char* p) {

@@ -175,42 +175,49 @@ TEST_F(BandedLshTest, InsertAfterIndexMatchesOneBatch) {
 }
 
 TEST_F(BandedLshTest, SaveLoadRoundTripBorrowsWhenMappedAndOwnsWhenCopied) {
-  BandedLsh index;
-  std::vector<Signature> sigs;
-  for (uint32_t i = 0; i < 60; ++i) {
-    sigs.push_back(hasher_.Sign(OverlappingSet(25 + i % 11, 40, static_cast<int>(i % 6))));
-    index.Insert(i, sigs.back());
-  }
-  index.Index();
+  // The empty index stands for a lake whose attributes all lack some
+  // evidence (all-numeric columns have no value or embedding signature): a
+  // mapped load of it copies nothing either, so it counts as borrowed.
+  for (const uint32_t n : {60u, 0u}) {
+    SCOPED_TRACE(n);
+    BandedLsh index;
+    std::vector<Signature> sigs;
+    for (uint32_t i = 0; i < n; ++i) {
+      sigs.push_back(hasher_.Sign(OverlappingSet(25 + i % 11, 40, static_cast<int>(i % 6))));
+      index.Insert(i, sigs.back());
+    }
+    index.Index();
+    sigs.push_back(hasher_.Sign(OverlappingSet(30, 60, 99)));  // a probe never inserted
 
-  const std::string path = ::testing::TempDir() + "/banded_round_trip.bin";
-  io::Writer w;
-  ASSERT_TRUE(w.Open(path, "LSHBAND\n", 1).ok());
-  w.BeginSection(io::SectionId("BAND"));
-  w.WriteU8(7);  // misalign the header so Save must pad the arrays
-  index.Save(w);
-  ASSERT_TRUE(w.Finish().ok());
+    const std::string path = ::testing::TempDir() + "/banded_round_trip.bin";
+    io::Writer w;
+    ASSERT_TRUE(w.Open(path, "LSHBAND\n", 1).ok());
+    w.BeginSection(io::SectionId("BAND"));
+    w.WriteU8(7);  // misalign the header so Save must pad the arrays
+    index.Save(w);
+    ASSERT_TRUE(w.Finish().ok());
 
-  const auto load = [&](io::ReadMode mode) {
-    io::Reader r;
-    EXPECT_TRUE(r.Open(path, "LSHBAND\n", 1, 1, nullptr, mode).ok());
-    EXPECT_TRUE(r.OpenSection(io::SectionId("BAND")).ok());
-    EXPECT_EQ(r.ReadU8(), 7u);
-    BandedLsh loaded = BandedLsh::Load(r, BandedLshOptions{}, 60);
-    EXPECT_TRUE(r.status().ok()) << r.status().ToString();
-    EXPECT_TRUE(r.EndSection().ok());
-    return loaded;
-  };
-  const BandedLsh mapped = load(io::ReadMode::kMapped);
-  const BandedLsh copied = load(io::ReadMode::kBuffered);
-  EXPECT_TRUE(mapped.borrows_mapping());
-  EXPECT_FALSE(copied.borrows_mapping());
-  EXPECT_EQ(mapped.MemoryUsage(), sizeof(BandedLsh));
-  EXPECT_EQ(copied.size(), index.size());
-  EXPECT_EQ(mapped.size(), index.size());
-  for (const Signature& q : sigs) {
-    EXPECT_EQ(mapped.Query(q), index.Query(q));
-    EXPECT_EQ(copied.Query(q), index.Query(q));
+    const auto load = [&](io::ReadMode mode) {
+      io::Reader r;
+      EXPECT_TRUE(r.Open(path, "LSHBAND\n", 1, 1, nullptr, mode).ok());
+      EXPECT_TRUE(r.OpenSection(io::SectionId("BAND")).ok());
+      EXPECT_EQ(r.ReadU8(), 7u);
+      BandedLsh loaded = BandedLsh::Load(r, BandedLshOptions{}, n);
+      EXPECT_TRUE(r.status().ok()) << r.status().ToString();
+      EXPECT_TRUE(r.EndSection().ok());
+      return loaded;
+    };
+    const BandedLsh mapped = load(io::ReadMode::kMapped);
+    const BandedLsh copied = load(io::ReadMode::kBuffered);
+    EXPECT_TRUE(mapped.borrows_mapping());
+    EXPECT_FALSE(copied.borrows_mapping());
+    EXPECT_EQ(mapped.MemoryUsage(), sizeof(BandedLsh));
+    EXPECT_EQ(copied.size(), index.size());
+    EXPECT_EQ(mapped.size(), index.size());
+    for (const Signature& q : sigs) {
+      EXPECT_EQ(mapped.Query(q), index.Query(q));
+      EXPECT_EQ(copied.Query(q), index.Query(q));
+    }
   }
 }
 

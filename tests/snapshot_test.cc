@@ -511,6 +511,37 @@ TEST_F(SnapshotTest, MappedAndCopiedLoadsRankIdentically) {
   ExpectIdenticalSearch(**mapped, **copied);
 }
 
+TEST_F(SnapshotTest, AllNumericLakeMappedLoadBorrowsEmptyBandedIndexes) {
+  // Numeric columns carry no value or embedding evidence, so three of the
+  // five banded indexes are empty; a mapped load copies none of them.
+  DataLake lake;
+  lake.AddTable(testutil::MakeTable("readings", {"Height", "Weight"},
+                                    {{"1.52", "61"}, {"1.70", "72"}, {"1.81", "80"},
+                                     {"1.64", "58"}}))
+      .CheckOK();
+  core::D3LEngine built;
+  ASSERT_TRUE(built.IndexLake(lake).ok());
+  ASSERT_EQ(built.indexes().num_attributes(), 2u);
+  for (uint32_t id = 0; id < 2; ++id) {
+    ASSERT_TRUE(built.indexes().profile(id).is_numeric);
+    ASSERT_FALSE(built.indexes().signatures(id).has_value);
+    ASSERT_FALSE(built.indexes().signatures(id).has_embedding);
+  }
+  const std::string path = Path("numeric.d3l");
+  ASSERT_TRUE(built.SaveSnapshot(path).ok());
+
+  DataLake meta_mapped, meta_copied;
+  auto mapped = core::D3LEngine::LoadSnapshot(path, &meta_mapped,
+                                              core::SnapshotLoadMode::kMapped);
+  auto copied = core::D3LEngine::LoadSnapshot(path, &meta_copied,
+                                              core::SnapshotLoadMode::kCopied);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  EXPECT_TRUE((*mapped)->load_stats().mapped);
+  EXPECT_EQ((*mapped)->indexes().banded_borrowing_mapping(), 5u);
+  EXPECT_EQ((*copied)->indexes().banded_borrowing_mapping(), 0u);
+}
+
 TEST_F(SnapshotTest, MmapDisableEnvFallsBackToBufferedIdentically) {
   DataLake lake = MakeFigureLake();
   core::D3LEngine built;

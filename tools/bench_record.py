@@ -3,13 +3,13 @@
 
 Run from the repository root:
 
-    python3 tools/bench_record.py [--runs N] [--seconds S]
+    python3 tools/bench_record.py
 
 For every workload in BENCHMARK.json it drives d3lbench/run.py (unchanged):
-N untraced runs at each of the default seed 1 and the held-out seed 7919,
-alternating between the seeds, then one traced run at seed 1. Each run
-lasts S seconds (default: BENCHMARK.json's run_seconds). It writes
-BENCH_<workload>.json at the repository root with
+five untraced runs at each of the default seed 1 and the held-out seed
+7919, alternating between the seeds, then one traced run at seed 1. Each
+run lasts BENCHMARK.json's run_seconds, so every record is comparable with
+the next. It writes BENCH_<workload>.json at the repository root with
 
 - the commit the runs measured (and whether the tree had uncommitted
   changes) and the machine's nproc;
@@ -20,7 +20,6 @@ BENCH_<workload>.json at the repository root with
 It exits non-zero, writing nothing, if any run fails or reports a failed
 operation.
 """
-import argparse
 import json
 import os
 import statistics
@@ -28,6 +27,7 @@ import subprocess
 import sys
 
 SEEDS = (1, 7919)
+RUNS_PER_SEED = 5
 
 
 def fail(message):
@@ -47,14 +47,6 @@ def run(workload, seed, seconds, trace):
     return result
 
 
-def quartiles(values):
-    """(q1, median, q3) of a list; every quartile is the median for one value."""
-    if len(values) == 1:
-        return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
-
-
 def git(*args):
     return subprocess.run(["git", *args], stdout=subprocess.PIPE, text=True,
                           check=True).stdout.strip()
@@ -63,37 +55,32 @@ def git(*args):
 def main():
     with open("BENCHMARK.json") as f:
         spec = json.load(f)
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--runs", type=int, default=5, help="untraced runs per seed")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
-    args = parser.parse_args()
-    if args.runs < 1:
-        fail("--runs must be at least 1")
-
+    seconds = spec["run_seconds"]
     header = {
         "commit": git("rev-parse", "HEAD"),
         "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no")),
         "nproc": os.cpu_count(),
-        "run_seconds": args.seconds,
+        "run_seconds": seconds,
         "seeds": list(SEEDS),
-        "runs_per_seed": args.runs,
+        "runs_per_seed": RUNS_PER_SEED,
     }
     records = {}
     for workload in (w["name"] for w in spec["workloads"]):
         untraced = {seed: [] for seed in SEEDS}
-        for _ in range(args.runs):
+        for _ in range(RUNS_PER_SEED):
             for seed in SEEDS:
-                untraced[seed].append(run(workload, seed, args.seconds, 0))
-                print(f"{workload} seed {seed}: run {len(untraced[seed])} of {args.runs}",
+                untraced[seed].append(run(workload, seed, seconds, 0))
+                print(f"{workload} seed {seed}: run {len(untraced[seed])} of {RUNS_PER_SEED}",
                       file=sys.stderr)
-        traced = run(workload, SEEDS[0], args.seconds, 1)
+        traced = run(workload, SEEDS[0], seconds, 1)
 
         end_to_end = {}
         for metric in spec["end_to_end"]:
             name = metric["name"]
             per_seed = {}
             for seed, results in untraced.items():
-                q1, median, q3 = quartiles([r["metrics"][name]["value"] for r in results])
+                q1, median, q3 = statistics.quantiles(
+                    [r["metrics"][name]["value"] for r in results], n=4, method="inclusive")
                 per_seed[str(seed)] = {"median": median, "q1": q1, "q3": q3}
             end_to_end[name] = {"unit": metric["unit"], "better": metric["better"],
                                 "seeds": per_seed}
