@@ -14,8 +14,8 @@
 // plus a warm pass through a 2-shard ShardedEngine backend. Expected shape:
 // async uncached tracks sync direct within scheduling overhead (or beats it
 // with T > 1 workers); warm hits are decisively faster than any miss mode
-// because retrieval and scoring are skipped entirely — a warm hit costs one
-// target profiling plus a cache copy. The bench re-checks byte-identity of
+// because profiling, retrieval and scoring are skipped entirely — a warm
+// hit costs a digest of the target table plus a cache copy. The bench re-checks byte-identity of
 // cached results against direct Search and exits nonzero on a divergence,
 // so the CI bench-smoke run doubles as an end-to-end cache-correctness
 // gate.
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   out.Print();
 
   printf("\nShape to check: warm hits are the fastest rows by a wide margin\n"
-         "(they skip retrieval and scoring entirely), async uncached tracks\n"
+         "(they skip profiling, retrieval and scoring), async uncached tracks\n"
          "sync direct, and every row is exact (byte-identical rankings).\n");
 
   if (!metrics_out.empty()) {

@@ -64,28 +64,20 @@ Vec SubwordHashModel::Embed(std::string_view word) const {
 
 std::shared_ptr<const SubwordHashModel> SharedSubwordModel(
     const SubwordModelOptions& options) {
-  // Weak registry: expired entries are reaped on every lookup, so the table
-  // stays as small as the number of distinct option sets currently alive.
-  // Construction happens under the lock on purpose — the table build is the
-  // expensive part, and racing callers would otherwise each build one.
+  // Models live as long as the process: one per distinct option set, never
+  // rebuilt. Construction happens under the lock on purpose — the table
+  // build is the expensive part, and racing callers would otherwise each
+  // build one.
   struct Registry {
     Mutex mu;
-    std::vector<std::pair<SubwordModelOptions, std::weak_ptr<const SubwordHashModel>>>
+    std::vector<std::pair<SubwordModelOptions, std::shared_ptr<const SubwordHashModel>>>
         entries D3L_GUARDED_BY(mu);
   };
   static Registry registry;
 
   MutexLock lock(registry.mu);
-  for (size_t i = 0; i < registry.entries.size();) {
-    auto& [opts, weak] = registry.entries[i];
-    std::shared_ptr<const SubwordHashModel> model = weak.lock();
-    if (model == nullptr) {
-      registry.entries[i] = std::move(registry.entries.back());
-      registry.entries.pop_back();
-      continue;
-    }
+  for (const auto& [opts, model] : registry.entries) {
     if (opts == options) return model;
-    ++i;
   }
   auto model = std::make_shared<const SubwordHashModel>(options);
   registry.entries.emplace_back(options, model);

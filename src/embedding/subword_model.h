@@ -78,9 +78,12 @@ class SubwordHashModel : public WordEmbeddingModel {
 /// construction, so every engine with equal options can share one instance.
 /// That matters for snapshot loads: materializing the table (num_buckets *
 /// dim Gaussians) dominates an engine open, and a serving process holds
-/// many engines with identical options (shard replicas, reload generations).
-/// Backed by a weak registry — models are freed when the last engine using
-/// them goes away, and rebuilt on the next request. Thread-safe.
+/// many engines with identical options (shard replicas, reload generations),
+/// often one after another with none alive in between (a shard build, a
+/// snapshot open after a close). The registry therefore holds every model
+/// for the life of the process, so each option set is built once: 16 MB
+/// per distinct option set at the defaults, and a serving process uses
+/// one. Thread-safe.
 std::shared_ptr<const SubwordHashModel> SharedSubwordModel(
     const SubwordModelOptions& options);
 

@@ -7,7 +7,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "io/binary_io.h"
 
 namespace d3l::serving {
 
@@ -58,9 +57,6 @@ DiscoveryService::DiscoveryService(std::shared_ptr<const SearchBackend> backend,
                                   "Completed queries with a non-OK result");
   cache_hits_ = registry_->AddCounter("d3l_service_cache_hits_total", {},
                                       "Queries answered by the result cache");
-  negative_hits_ =
-      registry_->AddCounter("d3l_service_negative_hits_total", {},
-                            "Cache hits answered by a negative entry");
   cache_misses_ = registry_->AddCounter(
       "d3l_service_cache_misses_total", {},
       "Executed queries that went to the backend's search");
@@ -72,7 +68,7 @@ DiscoveryService::DiscoveryService(std::shared_ptr<const SearchBackend> backend,
                                    {{"phase", phase}}, help);
   };
   queue_seconds_ = phase_hist("queue", "Submit to execution start");
-  profile_seconds_ = phase_hist("profile", "Target profiling");
+  profile_seconds_ = phase_hist("profile", "Target profiling on a cache miss");
   search_seconds_ = phase_hist("search", "Backend retrieval and ranking");
   total_seconds_ = phase_hist("total", "Submit to response ready");
 
@@ -114,30 +110,41 @@ std::shared_ptr<const SearchBackend> DiscoveryService::backend() const {
 BackendInfo DiscoveryService::Info() const { return CurrentGeneration()->info; }
 
 CacheKey DiscoveryService::KeyForGeneration(
-    const BackendInfo& info, const core::QueryTarget& target, size_t k,
+    const BackendInfo& info, const Table& target, size_t k,
     const std::array<bool, core::kNumEvidence>& enabled_mask) {
-  // Canonical query bytes: backend identity, options, serialized target,
-  // k, mask. The target serializes once; the two key halves hash the same
-  // bytes under independent seeds.
+  // Backend identity, options, k and mask start both halves; then every
+  // field of the table is hashed on its own and chained in, under the
+  // half's seed. The column and cell counts are chained too, so no two
+  // distinct tables chain the same sequence of fields.
   uint64_t mask_bits = 0;
   for (size_t e = 0; e < core::kNumEvidence; ++e) {
     if (enabled_mask[e]) mask_bits |= uint64_t{1} << e;
   }
-  const std::string target_bytes = core::CanonicalTargetBytes(target);
   CacheKey key;
-  key.lo = HashCombine(
-      HashCombine(info.index_fingerprint, info.options_fingerprint),
-      HashCombine(HashBytes(target_bytes.data(), target_bytes.size(), kKeySeedLo),
-                  HashCombine(k, mask_bits)));
-  key.hi = HashCombine(
-      HashCombine(info.options_fingerprint, info.index_fingerprint),
-      HashCombine(HashBytes(target_bytes.data(), target_bytes.size(), kKeySeedHi),
-                  HashCombine(mask_bits, k)));
+  key.lo = HashCombine(HashCombine(info.index_fingerprint, info.options_fingerprint),
+                       HashCombine(k, mask_bits));
+  key.hi = HashCombine(HashCombine(info.options_fingerprint, info.index_fingerprint),
+                       HashCombine(mask_bits, k));
+  const auto chain_bytes = [&key](const std::string& bytes) {
+    key.lo = HashCombine(key.lo, HashString(bytes, kKeySeedLo));
+    key.hi = HashCombine(key.hi, HashString(bytes, kKeySeedHi));
+  };
+  const auto chain_count = [&key](uint64_t n) {
+    key.lo = HashCombine(key.lo, n);
+    key.hi = HashCombine(key.hi, n);
+  };
+  chain_bytes(target.name());
+  chain_count(target.num_columns());
+  for (const Column& column : target.columns()) {
+    chain_bytes(column.name());
+    chain_count(column.size());
+    for (const std::string& cell : column.cells()) chain_bytes(cell);
+  }
   return key;
 }
 
 CacheKey DiscoveryService::KeyFor(
-    const core::QueryTarget& target, size_t k,
+    const Table& target, size_t k,
     const std::array<bool, core::kNumEvidence>& enabled_mask) const {
   return KeyForGeneration(CurrentGeneration()->info, target, k, enabled_mask);
 }
@@ -182,7 +189,7 @@ QueryResponse DiscoveryService::Query(const QueryRequest& request) {
 void DiscoveryService::RunQuery(const Generation& gen,
                                 const QueryRequest& request,
                                 QueryResponse& response, bool& hit,
-                                bool& negative, bool& searched) {
+                                bool& profiled, bool& searched) {
   const SearchBackend& backend = *gen.backend;
   const std::array<bool, core::kNumEvidence> mask =
       request.enabled.value_or(backend.options().enabled);
@@ -191,20 +198,8 @@ void DiscoveryService::RunQuery(const Generation& gen,
     response.result = Status::InvalidArgument("query target is null");
     return;
   }
-  auto t0 = std::chrono::steady_clock::now();
-  Result<core::QueryTarget> profiled = [&] {
-    obs::ScopedSpan span("profile");
-    return backend.Profile(*request.target);
-  }();
-  response.stats.profile_seconds = SecondsSince(t0);
-  if (!profiled.ok()) {
-    response.result = profiled.status();
-    return;
-  }
   const bool use_cache = !request.bypass_cache && cache_.capacity() > 0;
   CacheKey key;
-  core::SearchResult cached;
-  CacheLookup looked = CacheLookup::kMiss;
   if (use_cache) {
     obs::ScopedSpan span("cache:lookup");
     // Keyed with the fingerprints of THIS query's generation snapshot: a
@@ -212,43 +207,36 @@ void DiscoveryService::RunQuery(const Generation& gen,
     // whose backend actually answers it, so a swap can never alias an old
     // result onto a new-generation key (the stale-hit window this keying
     // closes).
-    key = KeyForGeneration(gen.info, *profiled, request.k, mask);
-    looked = cache_.Lookup(key, &cached);
+    key = KeyForGeneration(gen.info, *request.target, request.k, mask);
+    core::SearchResult cached;
+    if (cache_.Lookup(key, &cached) == CacheLookup::kHit) {
+      hit = true;
+      response.result = std::move(cached);
+      response.stats.cache_hit = true;
+      return;
+    }
   }
-  if (looked == CacheLookup::kHit) {
-    hit = true;
-    response.result = std::move(cached);
-    response.stats.cache_hit = true;
-  } else if (looked == CacheLookup::kNegative) {
-    // The backend is known to retrieve nothing for this key:
-    // reconstruct the empty result from the target we just profiled —
-    // byte-identical to what SearchTarget would return, since an empty
-    // retrieval only moves the profiles/signatures into the result.
-    hit = true;
-    negative = true;
-    core::SearchResult empty;
-    empty.target_profiles = std::move(profiled->profiles);
-    empty.target_sigs = std::move(profiled->sigs);
-    response.result = std::move(empty);
-    response.stats.cache_hit = true;
-    response.stats.negative_hit = true;
-  } else {
-    searched = true;
-    t0 = std::chrono::steady_clock::now();
-    {
-      obs::ScopedSpan span("search");
-      response.result = backend.Search(std::move(*profiled), request.k, mask);
-    }
-    response.stats.search_seconds = SecondsSince(t0);
-    if (use_cache && response.result.ok()) {
-      obs::ScopedSpan span("cache:insert");
-      if (response.result->ranked.empty() &&
-          response.result->candidate_alignments.empty()) {
-        cache_.InsertNegative(key);  // remember the emptiness, not the bytes
-      } else {
-        cache_.Insert(key, *response.result);  // deep copy into the cache
-      }
-    }
+  profiled = true;
+  auto t0 = std::chrono::steady_clock::now();
+  Result<core::QueryTarget> target = [&] {
+    obs::ScopedSpan span("profile");
+    return backend.Profile(*request.target);
+  }();
+  response.stats.profile_seconds = SecondsSince(t0);
+  if (!target.ok()) {
+    response.result = target.status();  // never inserted, so it never hits
+    return;
+  }
+  searched = true;
+  t0 = std::chrono::steady_clock::now();
+  {
+    obs::ScopedSpan span("search");
+    response.result = backend.Search(std::move(*target), request.k, mask);
+  }
+  response.stats.search_seconds = SecondsSince(t0);
+  if (use_cache && response.result.ok()) {
+    obs::ScopedSpan span("cache:insert");
+    cache_.Insert(key, *response.result);  // deep copy into the cache
   }
 }
 
@@ -258,8 +246,8 @@ void DiscoveryService::Execute(const QueryRequest& request,
   QueryResponse response;
   response.stats.queue_seconds = SecondsSince(submitted);
 
-  // ONE generation snapshot per query: every phase below — profile, cache
-  // key, search, insert — sees this backend and this fingerprint, however
+  // ONE generation snapshot per query: every phase below — cache key,
+  // profile, search, insert — sees this backend and this fingerprint, however
   // many SwapBackend calls land while we run. The shared_ptr copy also
   // keeps the old backend alive until the query drains.
   const std::shared_ptr<const Generation> gen = CurrentGeneration();
@@ -276,7 +264,7 @@ void DiscoveryService::Execute(const QueryRequest& request,
   }
 
   bool hit = false;
-  bool negative = false;
+  bool profiled = false;  ///< the query reached the backend's Profile
   bool searched = false;  ///< the query reached the backend's Search
   {
     // The execute span is the trace root every phase span nests under; the
@@ -284,7 +272,7 @@ void DiscoveryService::Execute(const QueryRequest& request,
     std::optional<obs::ScopedSpan> exec_span;
     if (trace != nullptr) exec_span.emplace(trace, "execute");
     try {
-      RunQuery(*gen, request, response, hit, negative, searched);
+      RunQuery(*gen, request, response, hit, profiled, searched);
     } catch (const std::exception& e) {
       // The codebase speaks Status, not exceptions — but a throw must not
       // escape into the pool (it would strand every queued future). Convert
@@ -297,7 +285,7 @@ void DiscoveryService::Execute(const QueryRequest& request,
   response.stats.total_seconds = SecondsSince(submitted);
 
   queue_seconds_->Record(response.stats.queue_seconds);
-  profile_seconds_->Record(response.stats.profile_seconds);
+  if (profiled) profile_seconds_->Record(response.stats.profile_seconds);
   if (searched) search_seconds_->Record(response.stats.search_seconds);
   total_seconds_->Record(response.stats.total_seconds);
 
@@ -321,7 +309,6 @@ void DiscoveryService::Execute(const QueryRequest& request,
     if (!response.result.ok()) failed_->Increment();
     if (hit) {
       cache_hits_->Increment();
-      if (negative) negative_hits_->Increment();
     } else if (searched) {
       // Failed-before-retrieval queries count only in failed_.
       cache_misses_->Increment();
@@ -346,7 +333,6 @@ ServiceStats DiscoveryService::Stats() const {
     stats.rejected = rejected_->Value();
     stats.failed = failed_->Value();
     stats.cache_hits = cache_hits_->Value();
-    stats.negative_hits = negative_hits_->Value();
     stats.cache_misses = cache_misses_->Value();
     stats.profile_seconds = profile_seconds_->Sum();
     stats.search_seconds = search_seconds_->Sum();

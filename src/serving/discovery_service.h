@@ -6,22 +6,26 @@
 // immediately; SubmitBatch amortizes that for request vectors. Each query
 // runs
 //
-//   profile target  ->  cache lookup  ->  [hit: copy cached result]
-//                                         [miss: backend Search + insert]
+//   cache lookup  ->  [hit: copy cached result]
+//                     [miss: profile target -> backend Search -> insert]
 //
-// with per-phase wall-clock stats recorded into the response. Queries that
-// retrieve nothing are cached too — as lightweight negative entries whose
-// hits reconstruct the empty result from the freshly profiled target — so
-// a hot target with no candidates stops re-running retrieval.
+// with per-phase wall-clock stats recorded into the response. A hit costs
+// a digest of the target table plus a copy of the cached result: it never
+// profiles. Queries that retrieve nothing are cached like any other.
 //
-// Result-cache keying. The 128-bit key is two seeded hashes of a canonical
-// byte string: the backend's index fingerprint (snapshot/manifest
-// checksums), its options fingerprint, the serialized target profiles +
-// signatures (core::CanonicalTargetBytes), k, and the evidence mask. Two
-// submissions collide exactly when nothing downstream of profiling could
-// distinguish them — the same table text against the same index under the
-// same options — so a hit may copy the stored result instead of
-// re-retrieving, byte for byte. Opening a different snapshot (or a
+// Result-cache keying. The 128-bit key is two chained hashes under
+// independent seeds of: the backend's index fingerprint (snapshot/manifest
+// checksums), its options fingerprint, k, the evidence mask, the target
+// table's name and column count, and, per column, its name, its cell count
+// and every cell. Each field is hashed on its own and chained, so a byte
+// moved across a cell boundary or a cell moved across a column changes the
+// key. A profile is a pure function of these fields under the backend's
+// options (column types, null counts and the subject column are computed
+// from the cells; the table's source identity is never read), so
+// two submissions collide exactly when nothing downstream could
+// distinguish them, and a hit may copy the stored result instead of
+// re-profiling and re-retrieving, byte for byte. A table edited in place
+// keys differently on its next query. Opening a different snapshot (or a
 // re-built one) changes the index fingerprint and thereby every key:
 // invalidation across restarts rides on the checksums src/io already
 // maintains, with no explicit flush protocol.
@@ -34,7 +38,7 @@
 // pointer + its BackendInfo) published through a shared_ptr; SwapBackend
 // installs a replacement without pausing service. Each query captures
 // exactly one generation snapshot when it starts executing and threads it
-// through profile, cache keying, search, and cache insertion — so a query
+// through cache keying, profile, search, and cache insertion — so a query
 // racing a swap runs entirely against the old generation and caches its
 // result under the OLD index fingerprint, never under a key the new
 // generation would read. In-flight queries keep the old backend alive via
@@ -80,7 +84,7 @@ struct DiscoveryServiceOptions {
   /// (null = the process default). Also handed to the ResultCache and the
   /// worker pool, so one Snapshot covers all three layers.
   obs::MetricRegistry* registry = nullptr;
-  /// Record a span tree per query (queue wait, profile, cache, search —
+  /// Record a span tree per query (queue wait, cache, profile, search —
   /// plus the per-server RPC spans a RemoteBackend stitches in). The trace
   /// rides back on QueryStats::trace. Off, queries skip every tracing
   /// branch and QueryStats::trace stays null.
@@ -103,19 +107,15 @@ struct QueryRequest {
 /// \brief Per-query execution metrics.
 struct QueryStats {
   bool cache_hit = false;
-  /// The hit was a negative entry: the backend was known to retrieve no
-  /// candidates for this key, and the empty result was reconstructed from
-  /// the freshly profiled target (byte-identical to recomputation).
-  bool negative_hit = false;
   double queue_seconds = 0;    ///< Submit() to execution start
-  double profile_seconds = 0;  ///< ProfileTarget
+  double profile_seconds = 0;  ///< backend Profile (0 on a hit)
   double search_seconds = 0;   ///< backend retrieval+ranking (0 on a hit)
   double total_seconds = 0;    ///< Submit() to response ready
   /// Index fingerprint of the generation this query executed against —
   /// lets callers attribute a response to a reload generation.
   uint64_t index_fingerprint = 0;
-  /// The query's span tree (null when tracing is off): queue/profile/
-  /// cache/search phases, with any remote servers' handling stitched in
+  /// The query's span tree (null when tracing is off): queue/cache/
+  /// profile/search phases, with any remote servers' handling stitched in
   /// under the same trace id. Render with obs::FormatTrace.
   std::shared_ptr<const obs::Trace> trace;
 };
@@ -137,11 +137,10 @@ struct ServiceStats {
   size_t completed = 0;
   size_t rejected = 0;     ///< refused at Submit (service shut down)
   size_t failed = 0;       ///< completed with a non-OK result
-  size_t cache_hits = 0;     ///< includes negative hits
-  size_t negative_hits = 0;  ///< empty-result queries answered by the cache
-  size_t cache_misses = 0;   ///< executed queries that went to the backend
+  size_t cache_hits = 0;
+  size_t cache_misses = 0;  ///< executed queries that went to the backend
   ResultCache::Stats cache;
-  double profile_seconds = 0;  ///< summed across queries
+  double profile_seconds = 0;  ///< summed across queries that profiled
   double search_seconds = 0;
 };
 
@@ -193,10 +192,10 @@ class DiscoveryService {
   BackendInfo Info() const;
   ServiceStats Stats() const;
 
-  /// The cache key Submit would use for a profiled target against the
+  /// The cache key Submit would use for a target table against the
   /// CURRENT generation — exposed so tests and diagnostics can reason
   /// about hit/miss behavior directly.
-  CacheKey KeyFor(const core::QueryTarget& target, size_t k,
+  CacheKey KeyFor(const Table& target, size_t k,
                   const std::array<bool, core::kNumEvidence>& enabled_mask) const;
 
  private:
@@ -211,13 +210,13 @@ class DiscoveryService {
   std::shared_ptr<const Generation> CurrentGeneration() const
       D3L_EXCLUDES(gen_mu_);
   static CacheKey KeyForGeneration(
-      const BackendInfo& info, const core::QueryTarget& target, size_t k,
+      const BackendInfo& info, const Table& target, size_t k,
       const std::array<bool, core::kNumEvidence>& enabled_mask);
   void Execute(const QueryRequest& request,
                std::chrono::steady_clock::time_point submitted,
                std::shared_ptr<std::promise<QueryResponse>> promise);
   void RunQuery(const Generation& gen, const QueryRequest& request,
-                QueryResponse& response, bool& hit, bool& negative,
+                QueryResponse& response, bool& hit, bool& profiled,
                 bool& searched);
 
   DiscoveryServiceOptions options_;
@@ -245,7 +244,6 @@ class DiscoveryService {
   std::shared_ptr<obs::Counter> rejected_;
   std::shared_ptr<obs::Counter> failed_;
   std::shared_ptr<obs::Counter> cache_hits_;
-  std::shared_ptr<obs::Counter> negative_hits_;
   std::shared_ptr<obs::Counter> cache_misses_;
   std::shared_ptr<obs::Counter> slow_queries_;
   std::shared_ptr<obs::Histogram> queue_seconds_;

@@ -5,11 +5,6 @@
 namespace d3l::serving {
 
 namespace {
-/// Accounting size of a negative entry: the Entry bookkeeping plus the
-/// hash-map node around it. Small but non-zero, so a flood of negative
-/// inserts still respects the byte budget.
-constexpr size_t kNegativeEntryBytes = 96;
-
 /// Per-node overhead of an unordered_map / list entry (two pointers, hash,
 /// allocator rounding) — a deliberate estimate, not an ABI promise.
 constexpr size_t kNodeOverhead = 48;
@@ -44,19 +39,15 @@ ResultCache::ResultCache(size_t capacity, size_t num_shards, size_t max_bytes,
   obs::MetricRegistry& reg =
       registry ? *registry : obs::MetricRegistry::Default();
   hits_ = reg.AddCounter("d3l_result_cache_hits_total", {},
-                         "Probes answered by a cached full result");
+                         "Probes answered by a cached result");
   misses_ = reg.AddCounter("d3l_result_cache_misses_total", {},
                            "Probes that found nothing cached");
-  negative_hits_ = reg.AddCounter("d3l_result_cache_negative_hits_total", {},
-                                  "Probes answered by a negative entry");
   insertions_ = reg.AddCounter("d3l_result_cache_insertions_total", {},
                                "Inserts including refreshes of existing keys");
   evictions_ = reg.AddCounter("d3l_result_cache_evictions_total", {},
                               "Entries evicted by the LRU budgets");
   entries_gauge_ = reg.AddGauge("d3l_result_cache_entries", {},
-                                "Currently cached entries (both kinds)");
-  negative_entries_gauge_ = reg.AddGauge("d3l_result_cache_negative_entries",
-                                         {}, "Currently cached negative entries");
+                                "Currently cached entries");
   bytes_gauge_ = reg.AddGauge("d3l_result_cache_bytes", {},
                               "Accounted bytes currently cached");
   // Distribute the budgets as evenly as possible; the first
@@ -90,10 +81,6 @@ CacheLookup ResultCache::Lookup(const CacheKey& key, core::SearchResult* out) {
       return CacheLookup::kMiss;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    if (it->second->result == nullptr) {
-      negative_hits_->Increment();
-      return CacheLookup::kNegative;
-    }
     hits_->Increment();
     result = it->second->result;
   }
@@ -108,53 +95,26 @@ CacheLookup ResultCache::Lookup(const CacheKey& key, core::SearchResult* out) {
 void ResultCache::Insert(const CacheKey& key, core::SearchResult result) {
   if (capacity_ == 0) return;
   const size_t bytes = ApproxResultBytes(result);
-  InsertEntry(key, std::make_shared<const core::SearchResult>(std::move(result)), bytes);
-}
-
-void ResultCache::InsertNegative(const CacheKey& key) {
-  if (capacity_ == 0) return;
-  InsertEntry(key, nullptr, kNegativeEntryBytes);
-}
-
-void ResultCache::InsertEntry(const CacheKey& key,
-                              std::shared_ptr<const core::SearchResult> result,
-                              size_t bytes) {
+  auto shared = std::make_shared<const core::SearchResult>(std::move(result));
   Shard& shard = ShardFor(key);
   MutexLock lk(shard.mu);
   insertions_->Increment();  // refreshes count too: one per Insert call
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     // Refresh: identical key means identical outcome, but overwrite anyway
-    // so a refresh behaves like an insert (and bump recency). The entry
-    // kind can flip (a once-negative key re-inserted positively after a
-    // k/mask-collision-free recompute never happens in practice, but the
-    // accounting must stay consistent regardless).
+    // so a refresh behaves like an insert (and bump recency).
     shard.bytes_used -= it->second->bytes;
     bytes_gauge_->Add(-static_cast<int64_t>(it->second->bytes));
-    if (it->second->result == nullptr) {
-      --shard.negative_entries;
-      negative_entries_gauge_->Add(-1);
-    }
-    it->second->result = std::move(result);
+    it->second->result = std::move(shared);
     it->second->bytes = bytes;
-    shard.bytes_used += bytes;
-    bytes_gauge_->Add(static_cast<int64_t>(bytes));
-    if (it->second->result == nullptr) {
-      ++shard.negative_entries;
-      negative_entries_gauge_->Add(1);
-    }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   } else {
-    if (result == nullptr) {
-      ++shard.negative_entries;
-      negative_entries_gauge_->Add(1);
-    }
-    shard.lru.push_front(Entry{key, std::move(result), bytes});
+    shard.lru.push_front(Entry{key, std::move(shared), bytes});
     shard.index.emplace(key, shard.lru.begin());
-    shard.bytes_used += bytes;
-    bytes_gauge_->Add(static_cast<int64_t>(bytes));
     entries_gauge_->Add(1);
   }
+  shard.bytes_used += bytes;
+  bytes_gauge_->Add(static_cast<int64_t>(bytes));
   // Trim to both budgets, never evicting the entry just admitted: a single
   // result larger than the whole byte slice still caches (and serves
   // repeats) as its shard's only entry.
@@ -164,10 +124,6 @@ void ResultCache::InsertEntry(const CacheKey& key,
     const Entry& victim = shard.lru.back();
     shard.bytes_used -= victim.bytes;
     bytes_gauge_->Add(-static_cast<int64_t>(victim.bytes));
-    if (victim.result == nullptr) {
-      --shard.negative_entries;
-      negative_entries_gauge_->Add(-1);
-    }
     shard.index.erase(victim.key);
     shard.lru.pop_back();
     entries_gauge_->Add(-1);
@@ -179,12 +135,10 @@ void ResultCache::Clear() {
   for (Shard& shard : shards_) {
     MutexLock lk(shard.mu);
     entries_gauge_->Add(-static_cast<int64_t>(shard.lru.size()));
-    negative_entries_gauge_->Add(-static_cast<int64_t>(shard.negative_entries));
     bytes_gauge_->Add(-static_cast<int64_t>(shard.bytes_used));
     shard.lru.clear();
     shard.index.clear();
     shard.bytes_used = 0;
-    shard.negative_entries = 0;
   }
 }
 
@@ -197,12 +151,9 @@ ResultCache::Stats ResultCache::GetStats() const {
   stats.max_bytes = max_bytes_;
   stats.hits = hits_->Value();
   stats.misses = misses_->Value();
-  stats.negative_hits = negative_hits_->Value();
   stats.insertions = insertions_->Value();
   stats.evictions = evictions_->Value();
   stats.entries = static_cast<size_t>(entries_gauge_->Value());
-  stats.negative_entries =
-      static_cast<size_t>(negative_entries_gauge_->Value());
   stats.bytes = static_cast<size_t>(bytes_gauge_->Value());
   return stats;
 }

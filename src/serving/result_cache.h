@@ -1,10 +1,10 @@
 // A sharded LRU cache of SearchResults, keyed by 128-bit query
-// fingerprints — the "repeated queries skip retrieval entirely" layer of
-// DiscoveryService.
+// fingerprints — the "repeated queries skip profiling and retrieval" layer
+// of DiscoveryService.
 //
-// Keys are two independent 64-bit hashes of the same canonical byte string
-// (backend identity + options fingerprint + serialized target profiles and
-// signatures + k + evidence mask; see discovery_service.h), making an
+// Keys are two independent 64-bit digests of the same query (backend
+// identity + options fingerprint + the target table's name, column names
+// and cells + k + evidence mask; see discovery_service.h), making an
 // accidental collision between distinct queries vanishingly unlikely
 // (~2^-128 per pair) while keeping the stored entries small. The cache is
 // split into independently locked shards selected by key bits, so
@@ -17,15 +17,11 @@
 // operator provisioned. Each shard always retains at least the entry it
 // just admitted, so a single oversized result still serves repeats.
 //
-// Targets that retrieve nothing are remembered too: a negative entry
-// records "this key produced an empty ranking" without storing the heavy
-// profile payload, and the front-end reconstructs the empty result from
-// the target it just profiled. Negative entries live in the same LRU and
-// are invalidated by the same index-fingerprint keying as positive ones.
-//
 // Hits return deep copies: a cached SearchResult is byte-identical to the
 // result a fresh retrieval would produce (asserted by tests/service_test.cc)
 // and the cache never hands out references into mutable internal state.
+// Every entry is a whole result, including an empty ranking: it carries
+// the target's profiles and signatures like any other.
 #pragma once
 
 #include <cstddef>
@@ -42,8 +38,7 @@
 
 namespace d3l::serving {
 
-/// \brief 128-bit cache key: two independent hashes of the canonical query
-/// byte string.
+/// \brief 128-bit cache key: two independently seeded digests of the query.
 struct CacheKey {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -58,9 +53,8 @@ size_t ApproxResultBytes(const core::SearchResult& result);
 
 /// \brief What a cache probe found.
 enum class CacheLookup {
-  kMiss,      ///< nothing cached for this key
-  kHit,       ///< a full result was copied out
-  kNegative,  ///< the key is known to produce an empty ranking
+  kMiss,  ///< nothing cached for this key
+  kHit,   ///< the cached result was copied out
 };
 
 /// \brief Sharded LRU map from CacheKey to SearchResult.
@@ -72,14 +66,12 @@ class ResultCache {
   struct Stats {
     size_t hits = 0;
     size_t misses = 0;
-    size_t negative_hits = 0;  ///< probes answered by a negative entry
     size_t insertions = 0;
     size_t evictions = 0;
-    size_t entries = 0;           ///< currently cached results (both kinds)
-    size_t negative_entries = 0;  ///< subset of `entries` that are negative
-    size_t capacity = 0;          ///< entry budget across shards
-    size_t bytes = 0;             ///< accounted bytes currently cached
-    size_t max_bytes = 0;         ///< byte budget (0 = unbounded)
+    size_t entries = 0;    ///< currently cached results
+    size_t capacity = 0;   ///< entry budget across shards
+    size_t bytes = 0;      ///< accounted bytes currently cached
+    size_t max_bytes = 0;  ///< byte budget (0 = unbounded)
   };
 
   /// A cache holding at most `capacity` results across `num_shards`
@@ -95,18 +87,13 @@ class ResultCache {
                        obs::MetricRegistry* registry = nullptr);
 
   /// On a hit, deep-copies the cached result into `*out` and marks the
-  /// entry most-recently-used. A negative hit touches recency but leaves
-  /// `*out` alone — the caller reconstructs the empty result itself.
+  /// entry most-recently-used.
   CacheLookup Lookup(const CacheKey& key, core::SearchResult* out);
 
   /// Inserts (or refreshes) a result, evicting the shard's least recently
   /// used entries while its slice exceeds the entry or byte budget (the
   /// newly admitted entry itself is never evicted).
   void Insert(const CacheKey& key, core::SearchResult result);
-
-  /// Records that `key` produces an empty ranking (no candidates). Stored
-  /// in the same LRU as full results, at a fixed small accounting size.
-  void InsertNegative(const CacheKey& key);
 
   /// Drops every entry (counters are kept).
   void Clear();
@@ -123,12 +110,12 @@ class ResultCache {
     }
   };
 
-  /// One cached outcome: a full result, or a negative marker (null).
+  /// One cached result.
   struct Entry {
     CacheKey key;
     /// Held by shared_ptr so a hit can take a reference under the lock and
     /// deep-copy OUTSIDE it — the copy of a large result must not
-    /// serialize every other hit on this shard. Null for negative entries.
+    /// serialize every other hit on this shard.
     std::shared_ptr<const core::SearchResult> result;
     size_t bytes = 0;  ///< accounted size at insertion time
   };
@@ -147,11 +134,7 @@ class ResultCache {
     // outcome counters live directly on the registry instruments below
     // (atomic — no reason to shard them).
     size_t bytes_used D3L_GUARDED_BY(mu) = 0;
-    size_t negative_entries D3L_GUARDED_BY(mu) = 0;
   };
-
-  void InsertEntry(const CacheKey& key,
-                   std::shared_ptr<const core::SearchResult> result, size_t bytes);
 
   Shard& ShardFor(const CacheKey& key) {
     // hi selects the shard, lo buckets within it: the two dimensions use
@@ -166,11 +149,9 @@ class ResultCache {
   // current occupancy (updated under the owning shard's lock).
   std::shared_ptr<obs::Counter> hits_;
   std::shared_ptr<obs::Counter> misses_;
-  std::shared_ptr<obs::Counter> negative_hits_;
   std::shared_ptr<obs::Counter> insertions_;
   std::shared_ptr<obs::Counter> evictions_;
   std::shared_ptr<obs::Gauge> entries_gauge_;
-  std::shared_ptr<obs::Gauge> negative_entries_gauge_;
   std::shared_ptr<obs::Gauge> bytes_gauge_;
 
   std::vector<Shard> shards_;

@@ -8,9 +8,10 @@
 // without the front-ends changing. Profile and Search are split on purpose:
 //
 //   * a front-end profiles ONCE and may fan the QueryTarget out to several
-//     backends, or fingerprint it for a result cache, before any retrieval
-//     work happens (profiles depend only on the engine options, never on
-//     the indexed lake);
+//     backends before any retrieval work happens (profiles depend only on
+//     the target table and the engine options, never on the indexed lake,
+//     which is why a result cache can key by the table and skip profiling
+//     on a hit);
 //   * Search(target, k, mask) is then a pure function of the profiled
 //     target and the backend's indexed data — which is what makes cached
 //     results byte-identical to recomputed ones.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "embedding/vector_ops.h"
 
 namespace d3l {
@@ -62,6 +64,26 @@ TEST_F(SubwordModelTest, UnitNorm) {
 
 TEST_F(SubwordModelTest, EmptyWordIsZeroVector) {
   EXPECT_DOUBLE_EQ(Norm(model_.Embed("")), 0.0);
+}
+
+TEST(SharedSubwordModelTest, ModelOutlivesEveryHolder) {
+  // An option set no other test in this binary asks for.
+  SubwordModelOptions options;
+  options.dim = 8;
+  options.num_buckets = 64;
+  options.seed = 0x5eed0b0b;
+  std::weak_ptr<const SubwordHashModel> first;
+  {
+    std::shared_ptr<const SubwordHashModel> held = SharedSubwordModel(options);
+    first = held;
+  }
+  // Every holder is gone; the process-wide registry still holds the model,
+  // so the next engine with these options reuses it instead of rebuilding.
+  ASSERT_FALSE(first.expired());
+  EXPECT_EQ(SharedSubwordModel(options), first.lock());
+
+  options.seed += 1;
+  EXPECT_NE(SharedSubwordModel(options), first.lock());
 }
 
 TEST_F(SubwordModelTest, SharedSubwordsIncreaseSimilarity) {

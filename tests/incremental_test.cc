@@ -279,11 +279,9 @@ TEST_F(IncrementalTest, UpdatedDeploymentInvalidatesResultCacheKeys) {
   serving::DiscoveryService service_before(before->get(), service_options);
   serving::DiscoveryService service_after(after->get(), service_options);
   const Table target = testutil::FigureS1();
-  auto profiled = (*before)->Profile(target);
-  ASSERT_TRUE(profiled.ok());
   const auto mask = (*before)->options().enabled;
-  serving::CacheKey key_before = service_before.KeyFor(*profiled, 5, mask);
-  serving::CacheKey key_after = service_after.KeyFor(*profiled, 5, mask);
+  serving::CacheKey key_before = service_before.KeyFor(target, 5, mask);
+  serving::CacheKey key_after = service_after.KeyFor(target, 5, mask);
   EXPECT_FALSE(key_before == key_after);
 }
 

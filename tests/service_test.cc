@@ -17,6 +17,7 @@
 
 #include "benchdata/synthetic_gen.h"
 #include "core/query.h"
+#include "obs/trace.h"
 #include "serving/discovery_service.h"
 #include "serving/result_cache.h"
 #include "serving/search_backend.h"
@@ -220,27 +221,6 @@ TEST(ResultCacheTest, OversizedResultStillCachesAsOnlyEntry) {
   EXPECT_EQ(cache.Lookup({2, 2}, &out), serving::CacheLookup::kHit);
 }
 
-TEST(ResultCacheTest, NegativeEntriesRoundTripInTheSameLru) {
-  serving::ResultCache cache(/*capacity=*/2, /*num_shards=*/1);
-  cache.InsertNegative({1, 1});
-  core::SearchResult out;
-  out.ranked.push_back(core::TableMatch{});  // must be left untouched by a negative hit
-  EXPECT_EQ(cache.Lookup({1, 1}, &out), serving::CacheLookup::kNegative);
-  EXPECT_EQ(out.ranked.size(), 1u);
-
-  serving::ResultCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.negative_entries, 1u);
-  EXPECT_EQ(stats.negative_hits, 1u);
-  EXPECT_EQ(stats.hits, 0u);
-
-  // Negative entries are ordinary LRU citizens: newer inserts evict them.
-  cache.Insert({2, 2}, PaddedResult(2, 1));
-  cache.Insert({3, 3}, PaddedResult(3, 1));
-  EXPECT_EQ(cache.Lookup({1, 1}, &out), serving::CacheLookup::kMiss);
-  EXPECT_EQ(cache.GetStats().negative_entries, 0u);
-}
-
 // ---------------------------------------------------------- thread pool Post
 
 TEST(ThreadPoolPostTest, RunsEveryPostedTask) {
@@ -377,24 +357,23 @@ TEST_F(ServiceTest, CacheKeySeparatesKAndMaskAndOptions) {
   serving::EngineBackend backend(&engine_, &lake_);
   serving::DiscoveryService service(&backend);
 
-  core::QueryTarget qt = engine_.ProfileTarget(target_);
   const std::array<bool, core::kNumEvidence> all = {true, true, true, true, true};
   const std::array<bool, core::kNumEvidence> no_name = {false, true, true, true, true};
 
-  serving::CacheKey base_key = service.KeyFor(qt, 5, all);
-  EXPECT_EQ(base_key, service.KeyFor(qt, 5, all));  // deterministic
-  EXPECT_NE(base_key, service.KeyFor(qt, 6, all));
-  EXPECT_NE(base_key, service.KeyFor(qt, 5, no_name));
+  serving::CacheKey base_key = service.KeyFor(target_, 5, all);
+  EXPECT_EQ(base_key, service.KeyFor(target_, 5, all));  // deterministic
+  EXPECT_NE(base_key, service.KeyFor(target_, 6, all));
+  EXPECT_NE(base_key, service.KeyFor(target_, 5, no_name));
 
   // A backend with different options (different fingerprint) keys the same
-  // profiled target differently — options drift cannot serve stale results.
+  // target differently — options drift cannot serve stale results.
   core::D3LOptions other_options;
   other_options.candidates_per_attribute = 17;
   core::D3LEngine other_engine(other_options);
   other_engine.IndexLake(lake_).CheckOK();
   serving::EngineBackend other_backend(&other_engine, &lake_);
   serving::DiscoveryService other_service(&other_backend);
-  EXPECT_NE(base_key, other_service.KeyFor(qt, 5, all));
+  EXPECT_NE(base_key, other_service.KeyFor(target_, 5, all));
 }
 
 TEST_F(ServiceTest, DifferentSnapshotsInvalidateEachOthersKeys) {
@@ -424,11 +403,151 @@ TEST_F(ServiceTest, DifferentSnapshotsInvalidateEachOthersKeys) {
 
   serving::DiscoveryService service_a(backend_a->get());
   serving::DiscoveryService service_b(backend_b->get());
-  core::QueryTarget qt = engine_.ProfileTarget(target_);
   const std::array<bool, core::kNumEvidence> all = {true, true, true, true, true};
-  EXPECT_NE(service_a.KeyFor(qt, 5, all), service_b.KeyFor(qt, 5, all));
+  EXPECT_NE(service_a.KeyFor(target_, 5, all), service_b.KeyFor(target_, 5, all));
 
   fs::remove_all(dir);
+}
+
+TEST_F(ServiceTest, CacheKeyCoversEveryFieldOfTheTargetTable) {
+  serving::EngineBackend backend(&engine_, &lake_);
+  serving::DiscoveryService service(&backend);
+  const std::array<bool, core::kNumEvidence> all = {true, true, true, true, true};
+  const auto key = [&](const Table& t) { return service.KeyFor(t, 5, all); };
+  const auto table = testutil::MakeTable;
+
+  const Table base = table("t", {"city", "code"}, {{"ab", "x"}, {"c", "y"}});
+  const serving::CacheKey base_key = key(base);
+
+  // Equal content at another address keys equally; the load-time source
+  // identity is not part of the content.
+  auto copy = std::make_unique<Table>(base);
+  ASSERT_NE(copy.get(), &base);
+  copy->set_source({"t.csv", 42, 7});
+  EXPECT_EQ(key(*copy), base_key);
+
+  EXPECT_NE(key(table("t", {"city", "code"}, {{"ab", "x"}, {"c", "z"}})), base_key)
+      << "one cell";
+  EXPECT_NE(key(table("t", {"town", "code"}, {{"ab", "x"}, {"c", "y"}})), base_key)
+      << "a column name";
+  EXPECT_NE(key(table("u", {"city", "code"}, {{"ab", "x"}, {"c", "y"}})), base_key)
+      << "the table name";
+  EXPECT_NE(key(table("t", {"code", "city"}, {{"x", "ab"}, {"y", "c"}})), base_key)
+      << "the column order";
+  EXPECT_NE(key(table("t", {"city", "code"}, {{"ab", "x"}, {"c", "y"}, {"", ""}})),
+            base_key)
+      << "an appended row";
+  EXPECT_NE(key(table("t", {"city", "code"}, {{"a", "x"}, {"bc", "y"}})), base_key)
+      << "a byte moved across a cell boundary";
+}
+
+// Counts Profile calls, so a test can tell a cache hit that profiled from
+// one that did not.
+class CountingBackend : public serving::SearchBackend {
+ public:
+  CountingBackend(const core::D3LEngine* engine, const DataLake* lake)
+      : inner_(engine, lake) {}
+
+  Result<core::QueryTarget> Profile(const Table& target) const override {
+    profile_calls_.fetch_add(1);
+    return inner_.Profile(target);
+  }
+  Result<core::SearchResult> Search(
+      core::QueryTarget target, size_t k,
+      const std::array<bool, core::kNumEvidence>& mask) const override {
+    return inner_.Search(std::move(target), k, mask);
+  }
+  const core::D3LOptions& options() const override { return inner_.options(); }
+  serving::BackendInfo Info() const override { return inner_.Info(); }
+  std::string table_name(uint32_t t) const override { return inner_.table_name(t); }
+
+  size_t profile_calls() const { return profile_calls_.load(); }
+
+ private:
+  serving::EngineBackend inner_;
+  mutable std::atomic<size_t> profile_calls_{0};
+};
+
+bool HasSpanNamed(const std::vector<obs::Span>& spans, const std::string& name) {
+  for (const obs::Span& span : spans) {
+    if (span.name == name || HasSpanNamed(span.children, name)) return true;
+  }
+  return false;
+}
+
+TEST_F(ServiceTest, CacheHitNeverProfiles) {
+  CountingBackend backend(&engine_, &lake_);
+  serving::DiscoveryServiceOptions options;
+  options.inline_execution = true;
+  serving::DiscoveryService service(&backend, options);
+  auto direct = engine_.Search(target_, 5);
+  ASSERT_TRUE(direct.ok());
+
+  const serving::QueryRequest request{&target_, 5, std::nullopt, false};
+  serving::QueryResponse miss = service.Query(request);
+  ASSERT_TRUE(miss.result.ok());
+  EXPECT_FALSE(miss.stats.cache_hit);
+  EXPECT_EQ(backend.profile_calls(), 1u);
+  EXPECT_GT(miss.stats.profile_seconds, 0.0);
+  ASSERT_NE(miss.stats.trace, nullptr);
+  EXPECT_TRUE(HasSpanNamed(miss.stats.trace->roots, "profile"));
+
+  serving::QueryResponse hit = service.Query(request);
+  ASSERT_TRUE(hit.result.ok());
+  EXPECT_TRUE(hit.stats.cache_hit);
+  EXPECT_EQ(backend.profile_calls(), 1u);
+  EXPECT_EQ(hit.stats.profile_seconds, 0.0);
+  EXPECT_EQ(hit.stats.search_seconds, 0.0);
+  ASSERT_NE(hit.stats.trace, nullptr);
+  EXPECT_TRUE(HasSpanNamed(hit.stats.trace->roots, "cache:lookup"));
+  EXPECT_FALSE(HasSpanNamed(hit.stats.trace->roots, "profile"));
+  EXPECT_EQ(testutil::SearchResultBytes(*hit.result),
+            testutil::SearchResultBytes(*direct));
+  // Only the query that profiled feeds the profile phase histogram.
+  EXPECT_EQ(service.Stats().profile_seconds, miss.stats.profile_seconds);
+
+  // A profiling failure is never cached: both attempts profile and fail.
+  Table empty("empty");
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    serving::QueryResponse failed = service.Query({&empty, 5, std::nullopt, false});
+    EXPECT_FALSE(failed.result.ok());
+    EXPECT_FALSE(failed.stats.cache_hit);
+  }
+  EXPECT_EQ(backend.profile_calls(), 3u);
+
+  // bypass_cache still profiles and searches.
+  serving::QueryResponse bypassed = service.Query({&target_, 5, std::nullopt, true});
+  ASSERT_TRUE(bypassed.result.ok());
+  EXPECT_FALSE(bypassed.stats.cache_hit);
+  EXPECT_EQ(backend.profile_calls(), 4u);
+  EXPECT_EQ(service.Stats().cache.entries, 1u);
+}
+
+TEST_F(ServiceTest, TableEditedInPlaceMisses) {
+  serving::EngineBackend backend(&engine_, &lake_);
+  serving::DiscoveryServiceOptions options;
+  options.inline_execution = true;
+  serving::DiscoveryService service(&backend, options);
+
+  Table target = testutil::FigureTarget();
+  const serving::QueryRequest request{&target, 5, std::nullopt, false};
+  ASSERT_TRUE(service.Query(request).result.ok());
+  ASSERT_TRUE(service.Query(request).stats.cache_hit);
+
+  // The same Table object, one row longer: the next query must rank the
+  // edited table, not copy the entry cached for the original.
+  ASSERT_TRUE(target.AddRow({"Salford Care", "2 Market St", "Salford", "M5 4WT",
+                             "09:00-17:00"})
+                  .ok());
+  auto direct = engine_.Search(target, 5);
+  ASSERT_TRUE(direct.ok());
+  serving::QueryResponse edited = service.Query(request);
+  ASSERT_TRUE(edited.result.ok());
+  EXPECT_FALSE(edited.stats.cache_hit);
+  EXPECT_EQ(testutil::SearchResultBytes(*edited.result),
+            testutil::SearchResultBytes(*direct));
+  EXPECT_NE(testutil::SearchResultBytes(*edited.result),
+            testutil::SearchResultBytes(*engine_.Search(testutil::FigureTarget(), 5)));
 }
 
 TEST_F(ServiceTest, EvictionUnderTinyServiceCache) {
@@ -461,7 +580,7 @@ TEST_F(ServiceTest, BypassCacheNeverHitsNorInserts) {
   EXPECT_EQ(service.Stats().cache.entries, 0u);
 }
 
-TEST_F(ServiceTest, EmptyRetrievalsHitTheNegativeCache) {
+TEST_F(ServiceTest, EmptyRetrievalsAreCachedAsOrdinaryEntries) {
   serving::EngineBackend backend(&engine_, &lake_);
   serving::DiscoveryServiceOptions options;
   options.inline_execution = true;
@@ -481,32 +600,23 @@ TEST_F(ServiceTest, EmptyRetrievalsHitTheNegativeCache) {
   serving::QueryResponse second = service.Query(request);
   ASSERT_TRUE(second.result.ok());
   EXPECT_TRUE(second.stats.cache_hit);
-  EXPECT_TRUE(second.stats.negative_hit);
   EXPECT_TRUE(second.result->ranked.empty());
   EXPECT_TRUE(second.result->candidate_alignments.empty());
 
-  // The reconstructed empty result is byte-identical to the recomputed
-  // one: profiles and signatures serialize to the same canonical bytes.
-  const auto canonical = [](const core::SearchResult& r) {
-    core::QueryTarget qt;
-    qt.profiles = r.target_profiles;
-    qt.sigs = r.target_sigs;
-    return core::CanonicalTargetBytes(qt);
-  };
-  EXPECT_EQ(canonical(*first.result), canonical(*second.result));
+  // The cached empty result carries the target's profiles and signatures
+  // like any other entry: byte-identical to the recomputed one.
+  EXPECT_EQ(testutil::SearchResultBytes(*first.result),
+            testutil::SearchResultBytes(*second.result));
 
   serving::ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.negative_hits, 1u);
-  EXPECT_EQ(stats.cache.negative_entries, 1u);
-  // Negative entries store a marker, not the (heavy) result payload.
-  EXPECT_LT(stats.cache.bytes, serving::ApproxResultBytes(*first.result));
+  EXPECT_EQ(stats.cache.entries, 1u);
+  EXPECT_EQ(stats.cache.bytes, serving::ApproxResultBytes(*first.result));
 
-  // A real query through the same service still caches positively.
+  // A real query through the same service caches its own entry.
   serving::QueryResponse full = service.Query({&target_, 5, std::nullopt, false});
   ASSERT_TRUE(full.result.ok());
   EXPECT_FALSE(full.result->ranked.empty());
-  EXPECT_EQ(service.Stats().cache.negative_entries, 1u);
   EXPECT_EQ(service.Stats().cache.entries, 2u);
 }
 
